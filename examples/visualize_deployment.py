@@ -61,7 +61,7 @@ def main() -> None:
         )
         snrs.append(
             system.relay_link(
-                bed.reflector, headset, repoint=False
+                bed.reflector, headset, steering=bed.reflector.beams
             ).end_to_end_snr_db
         )
     print(render_snr_sweep(list(angles), snrs, threshold_db=13.0))

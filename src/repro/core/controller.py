@@ -6,7 +6,10 @@ direct SNR below the handoff threshold, the AP steers onto the best
 calibrated reflector, which amplifies-and-forwards to the headset.
 The controller owns calibration (gain control per reflector, beam
 angles from the backscatter search or from VR tracking geometry) and
-exposes per-instant link decisions for the experiments.
+the one serving-decision engine: :meth:`MoVRSystem.decide_joint`
+decides for any number of headsets, :meth:`MoVRSystem.decide` is its
+single-headset call, and :class:`repro.core.multiuser.MultiUserSystem`
+its N-headset one.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.baselines.nlos_relay import OptNlosBaseline
 from repro.telemetry.slo import SERVING_MODE_CODES
 from repro.core.gain_control import CurrentSensingGainController, GainControlResult
 from repro.core.reflector import MoVRReflector
-from repro.geometry.raytrace import RayTracer
+from repro.geometry.raytrace import MIN_SEPARATION_M, RayTracer
 from repro.geometry.room import Occluder, Room
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
@@ -30,6 +34,11 @@ from repro.phy.noise import relay_path_snr_db
 from repro.rate.mcs import data_rate_mbps_for_snr
 from repro.utils.rng import RngLike, make_rng
 from repro.utils.validation import require_finite
+
+#: Cadence of the QoE time-series sampler: each decision offers link
+#: state (SNR, rate, mode, amplifier gain) to the active scope's series
+#: at most this often in simulation time.
+SAMPLE_PERIOD_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -48,13 +57,20 @@ class RelayMeasurement:
 
 @dataclass(frozen=True)
 class LinkDecision:
-    """The controller's choice for one instant."""
+    """One headset's serving decision for one instant."""
 
-    mode: str  # "los" | "reflector" | "outage"
+    #: ``los`` | ``reflector`` | ``nlos`` (fallback onto the best
+    #: environmental reflection) | ``outage``.
+    mode: str
     snr_db: float
     rate_mbps: float
     via: Optional[str] = None
     direct_snr_db: float = -math.inf
+    #: The headset's index in its joint decision (0 for one headset).
+    user: int = 0
+    #: True when this user wanted a reflector but lost it to a
+    #: higher-priority user this instant.
+    contended: bool = False
 
     @property
     def connected(self) -> bool:
@@ -81,6 +97,7 @@ class MoVRSystem:
         self.channel = channel if channel is not None else MmWaveChannel()
         self.tracer = RayTracer(room)
         self.budget = LinkBudget(self.tracer, self.channel)
+        self.nlos = OptNlosBaseline(self.budget)
         self.handoff_snr_db = handoff_snr_db
         #: Reflectors stick to walls above head height and the AP sits
         #: on a shelf (Fig. 5 of the paper shows both elevated), so the
@@ -92,22 +109,14 @@ class MoVRSystem:
         self.elevated_mounting = elevated_mounting
         self._rng = make_rng(rng)
         self._gain_results: Dict[str, GainControlResult] = {}
-        # Link-state memory behind the typed event log: decide() emits
-        # blockage/handoff/outage transitions by comparing against the
-        # previous instant.
-        self._last_mode: Optional[str] = None
-        self._last_via: Optional[str] = None
-        self._blockage_active = False
-        #: Cadence of the QoE time-series sampler: decide() offers
-        #: link state (SNR, rate, mode, amplifier gain) to the active
-        #: scope's series at most this often in simulation time.
-        self.sample_period_s = 0.005
-        self._last_decide_t: Optional[float] = None
         # Reflectors whose BLE control plane is currently down: the AP
         # cannot push beam updates to them, so they are excluded from
         # handoff until the coordinator reports recovery.
         self._control_down: Dict[str, Optional[float]] = {}
-        self._degraded_emitted = False
+        # Counts degraded episodes (control lost while none was down),
+        # so each link tracker flags every episode once.
+        self._degraded_episodes = 0
+        self._link = LinkStateTracker(prefix="link.")
 
     # ------------------------------------------------------------------
     # Calibration
@@ -138,7 +147,7 @@ class MoVRSystem:
         return dict(self._gain_results)
 
     # ------------------------------------------------------------------
-    # Link evaluation
+    # Link evaluation (pure: no reflector is re-steered)
     # ------------------------------------------------------------------
 
     def direct_link(
@@ -176,8 +185,10 @@ class MoVRSystem:
         self,
         reflector: MoVRReflector,
         extra_occluders: Sequence[Occluder],
+        rx_beam_deg: Optional[float] = None,
     ) -> float:
-        """Signal power at the reflector's amplifier input port."""
+        """Signal power at the reflector's amplifier input port, with
+        the receive beam at ``rx_beam_deg`` (default: where it is)."""
         if self.elevated_mounting:
             feed = self.budget.cache.line_of_sight(
                 self.ap.position,
@@ -191,7 +202,9 @@ class MoVRSystem:
             )
         ap_steer = bearing_deg(self.ap.position, reflector.position)
         ap_gain = self.ap.tx_gain_dbi(feed.departure_angle_deg, steer_override_deg=ap_steer)
-        rx_gain = reflector.rx_array.gain_dbi(feed.arrival_angle_deg)
+        rx_gain = reflector.rx_array.gain_dbi(
+            feed.arrival_angle_deg, steer_override_deg=rx_beam_deg
+        )
         return (
             self.ap.config.tx_power_dbm
             + ap_gain
@@ -204,22 +217,25 @@ class MoVRSystem:
         reflector: MoVRReflector,
         headset_radio: Radio,
         extra_occluders: Sequence[Occluder] = (),
-        repoint: bool = True,
+        steering: Optional[Tuple[float, float]] = None,
     ) -> RelayMeasurement:
         """Full amplify-and-forward budget through one reflector.
 
-        Steers the reflector's beams (RX at the AP, TX at the headset —
-        the angles MoVR gets from calibration plus VR tracking), then
-        accounts for amplifier noise, saturation, and the harmonic
-        SNR combination inherent to analog relays.  ``repoint=False``
-        keeps the reflector's current beams (beam-sweep studies).
+        Evaluates the reflector with its (rx, tx) beams at ``steering``
+        — by default aimed at the AP and the headset, the angles MoVR
+        gets from calibration plus VR tracking; pass
+        ``reflector.beams`` to keep the beams it holds (beam-sweep
+        studies).  Accounts for amplifier noise, saturation, and the
+        harmonic SNR combination inherent to analog relays.  The
+        reflector itself is never re-steered.
         """
-        if repoint:
-            reflector.point_at(self.ap.position, headset_radio.position)
-        amp_input = self._amp_input_dbm(reflector, extra_occluders)
+        if steering is None:
+            steering = reflector.aim(self.ap.position, headset_radio.position)
+        rx_beam, tx_beam = steering
+        amp_input = self._amp_input_dbm(reflector, extra_occluders, rx_beam)
         first_hop_snr = amp_input - reflector.front_end_noise.noise_floor_dbm
-        amp_output = reflector.output_power_dbm(amp_input)
-        stable = reflector.is_stable()
+        amp_output = reflector.output_power_dbm(amp_input, steering)
+        stable = reflector.is_stable(steering)
         if self.elevated_mounting:
             out_path = self.budget.cache.line_of_sight(
                 reflector.position,
@@ -233,7 +249,9 @@ class MoVRSystem:
             out_path = self.budget.cache.line_of_sight(
                 reflector.position, headset_radio.position, extra_occluders
             )
-        tx_gain = reflector.tx_array.gain_dbi(out_path.departure_angle_deg)
+        tx_gain = reflector.tx_array.gain_dbi(
+            out_path.departure_angle_deg, steer_override_deg=tx_beam
+        )
         hs_steer = bearing_deg(headset_radio.position, reflector.position)
         hs_gain = headset_radio.rx_gain_dbi(
             out_path.arrival_angle_deg, steer_override_deg=hs_steer
@@ -261,12 +279,13 @@ class MoVRSystem:
             stable=stable,
         )
 
-    def best_relay(
+    def relay_candidates(
         self,
         headset_radio: Radio,
         extra_occluders: Sequence[Occluder] = (),
-    ) -> Optional[RelayMeasurement]:
-        """The serving reflector candidate with the highest SNR.
+    ) -> List[RelayMeasurement]:
+        """Every usable reflector's relay budget, best SNR first (ties
+        by reflector name).
 
         Reflectors whose control plane is down are not candidates: the
         AP cannot steer them, so handing off to one would serve the
@@ -279,9 +298,17 @@ class MoVRSystem:
             if r.name not in self._control_down
             and r.can_serve(self.ap.position, headset_radio.position)
         ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda m: m.end_to_end_snr_db)
+        candidates.sort(key=lambda m: (-m.end_to_end_snr_db, m.reflector_name))
+        return candidates
+
+    def best_relay(
+        self,
+        headset_radio: Radio,
+        extra_occluders: Sequence[Occluder] = (),
+    ) -> Optional[RelayMeasurement]:
+        """The serving reflector candidate with the highest SNR."""
+        candidates = self.relay_candidates(headset_radio, extra_occluders)
+        return candidates[0] if candidates else None
 
     # ------------------------------------------------------------------
     # Control-plane availability (graceful degradation)
@@ -299,9 +326,11 @@ class MoVRSystem:
         event itself is emitted by the coordinator that detected the
         loss — this is the data-plane reaction.
         """
-        self._require_reflector(reflector_name)
+        self._reflector(reflector_name)
         if reflector_name in self._control_down:
             return
+        if not self._control_down:
+            self._degraded_episodes += 1
         self._control_down[reflector_name] = t_s
         telemetry.inc("controller.control_lost")
 
@@ -309,31 +338,57 @@ class MoVRSystem:
         self, reflector_name: str, t_s: Optional[float] = None
     ) -> None:
         """Re-admit a reflector whose control plane recovered."""
-        self._require_reflector(reflector_name)
+        self._reflector(reflector_name)
         if reflector_name not in self._control_down:
             return
         del self._control_down[reflector_name]
         telemetry.inc("controller.control_recovered")
-        if not self._control_down:
-            # Fully healed: the next degraded episode is a new event.
-            self._degraded_emitted = False
 
     def attach_coordinator(self, coordinator) -> None:
         """Wire a :class:`ReflectorCoordinator`'s loss/recovery
         callbacks to this system's handoff exclusion set."""
         name = coordinator.reflector.name
-        self._require_reflector(name)
+        self._reflector(name)
         coordinator.on_control_lost = lambda t_s: self.mark_control_lost(name, t_s)
         coordinator.on_control_recovered = lambda t_s: self.mark_control_recovered(
             name, t_s
         )
 
-    def _require_reflector(self, reflector_name: str) -> None:
-        if all(r.name != reflector_name for r in self.reflectors):
-            known = ", ".join(r.name for r in self.reflectors)
+    def _reflector(self, reflector_name: str) -> MoVRReflector:
+        for reflector in self.reflectors:
+            if reflector.name == reflector_name:
+                return reflector
+        known = ", ".join(r.name for r in self.reflectors)
+        raise ValueError(f"unknown reflector {reflector_name!r}; known: {known}")
+
+    # ------------------------------------------------------------------
+    # The decision engine
+    # ------------------------------------------------------------------
+
+    def check_headset(self, position: Vec2, yaw_deg: float, name: str) -> None:
+        """Reject a headset pose the link models cannot evaluate.
+
+        Raises ``ValueError`` naming the argument (``name``) when the
+        pose is not finite, lies outside the room, or sits within the
+        far-field limit of the AP or a reflector.
+        """
+        require_finite(position.x, f"{name} x position")
+        require_finite(position.y, f"{name} y position")
+        require_finite(yaw_deg, f"{name} yaw")
+        if not self.room.contains(position):
+            box = self.room.bounding_box()
             raise ValueError(
-                f"unknown reflector {reflector_name!r}; known: {known}"
+                f"{name} at ({position.x:g}, {position.y:g}) is outside the "
+                f"room ({box.min_corner.x:g}..{box.max_corner.x:g} x "
+                f"{box.min_corner.y:g}..{box.max_corner.y:g} m)"
             )
+        for node in [self.ap, *self.reflectors]:
+            if position.distance_to(node.position) < MIN_SEPARATION_M:
+                what = "the AP" if node is self.ap else f"reflector {node.name!r}"
+                raise ValueError(
+                    f"{name} at ({position.x:g}, {position.y:g}) is closer than "
+                    f"{MIN_SEPARATION_M} m to {what}"
+                )
 
     def decide(
         self,
@@ -341,93 +396,130 @@ class MoVRSystem:
         extra_occluders: Sequence[Occluder] = (),
         t_s: Optional[float] = None,
     ) -> LinkDecision:
-        """Pick the serving path for the current instant.
-
-        The direct path is preferred whenever it clears the handoff
-        threshold (it needs no relay resources); otherwise the best
-        reflector serves; if nothing decodes, the link is in outage.
+        """Pick the serving path for the current instant: the joint
+        decision of :meth:`decide_joint` for one headset.
 
         ``t_s`` (the caller's clock, e.g. simulation time) stamps the
         control-plane events this decision may emit — blockage
-        detected/cleared, AP<->reflector handoff, outage begin/end.
+        detected/cleared, handoff, outage begin/end — and the
+        ``link.*`` QoE series.
         """
         started = time.perf_counter()
-        direct = self.direct_link(headset_radio, extra_occluders)
-        if direct.snr_db >= self.handoff_snr_db:
-            decision = LinkDecision(
-                mode="los",
-                snr_db=direct.snr_db,
-                rate_mbps=data_rate_mbps_for_snr(direct.snr_db),
-                direct_snr_db=direct.snr_db,
-            )
-        else:
-            relay = self.best_relay(headset_radio, extra_occluders)
-            if relay is not None and relay.end_to_end_snr_db > direct.snr_db:
-                snr = relay.end_to_end_snr_db
-                rate = data_rate_mbps_for_snr(snr)
-                decision = LinkDecision(
-                    mode="reflector" if rate > 0.0 else "outage",
-                    snr_db=snr,
-                    rate_mbps=rate,
-                    via=relay.reflector_name,
-                    direct_snr_db=direct.snr_db,
-                )
-            else:
-                rate = data_rate_mbps_for_snr(direct.snr_db)
-                decision = LinkDecision(
-                    mode="los" if rate > 0.0 else "outage",
-                    snr_db=direct.snr_db,
-                    rate_mbps=rate,
-                    direct_snr_db=direct.snr_db,
-                )
+        self.check_headset(
+            headset_radio.position, headset_radio.boresight_deg, "headset_radio"
+        )
+        (decision,) = self.decide_joint([headset_radio], [extra_occluders], t_s)
         telemetry.inc("controller.decisions")
         telemetry.observe(
             "controller.decide_ms", (time.perf_counter() - started) * 1000.0
         )
-        if t_s is not None:
-            self._sample_link_state(decision, t_s)
-        self._emit_transitions(decision, t_s)
-        if t_s is not None:
-            self._last_decide_t = t_s
+        self._link.record(self, decision, t_s)
         return decision
 
-    def _sample_link_state(self, decision: LinkDecision, t_s: float) -> None:
-        """Offer this instant's link state to the QoE time series.
+    def decide_joint(
+        self,
+        headset_radios: Sequence[Radio],
+        occluder_sets: Sequence[Sequence[Occluder]],
+        t_s: Optional[float] = None,
+    ) -> Tuple[LinkDecision, ...]:
+        """Every headset's serving path for one instant.
 
-        Dark-link SNRs are legitimately ``-inf`` and are skipped (the
-        ``link.mode_code`` series carries the outage signal); every
-        series shares the controller's sampling cadence.
+        Healthy direct links are preferred (they need no relay
+        resources).  Blocked users bid for every usable reflector that
+        improves on their blocked direct path, and the arbiter
+        processes bidders best-bid-first (ties toward the lower user
+        index), awarding each their best still-unclaimed reflector — a
+        reflector steers at exactly one headset.  Only awarded
+        reflectors are re-steered.  Everyone else falls back to the
+        better of Opt-NLOS and the weak direct path; a bidder whose
+        every wanted reflector was claimed emits a ``contention``
+        event (blocked users no reflector could help fall back
+        silently: coverage, not contention).
+
+        ``occluder_sets[i]`` are the occluders in headset ``i``'s scene.
+        The caller validates the poses (:meth:`check_headset`) and
+        records the decisions (:class:`LinkStateTracker`).
         """
-        period = self.sample_period_s
-        telemetry.sample(
-            "link.mode_code",
-            t_s,
-            SERVING_MODE_CODES[decision.mode],
-            min_interval_s=period,
-        )
-        telemetry.sample(
-            "link.rate_mbps", t_s, decision.rate_mbps, min_interval_s=period
-        )
-        if math.isfinite(decision.snr_db):
-            telemetry.sample("link.snr_db", t_s, decision.snr_db, min_interval_s=period)
-        if math.isfinite(decision.direct_snr_db):
-            telemetry.sample(
-                "link.direct_snr_db", t_s, decision.direct_snr_db, min_interval_s=period
-            )
-        if decision.via is not None:
-            for reflector in self.reflectors:
-                if reflector.name == decision.via:
-                    telemetry.sample(
-                        "link.amp_gain_db",
-                        t_s,
-                        reflector.amplifier.gain_db,
-                        min_interval_s=period,
-                    )
-                    break
+        decisions: List[Optional[LinkDecision]] = [None] * len(headset_radios)
+        directs: List[float] = []
+        bids: Dict[int, List[RelayMeasurement]] = {}
+        for i, (radio, occluders) in enumerate(zip(headset_radios, occluder_sets)):
+            direct = self.direct_link(radio, occluders).snr_db
+            directs.append(direct)
+            if direct >= self.handoff_snr_db:
+                decisions[i] = LinkDecision(
+                    mode="los",
+                    snr_db=direct,
+                    rate_mbps=data_rate_mbps_for_snr(direct),
+                    direct_snr_db=direct,
+                    user=i,
+                )
+            else:
+                bids[i] = [
+                    c
+                    for c in self.relay_candidates(radio, occluders)
+                    if math.isfinite(c.end_to_end_snr_db)
+                    and c.end_to_end_snr_db > direct
+                ]
 
-    # ------------------------------------------------------------------
-    # Control-plane event log
-    # ------------------------------------------------------------------
+        claimed: Dict[str, int] = {}
+        order = sorted(
+            (i for i in bids if bids[i]),
+            key=lambda i: (-bids[i][0].end_to_end_snr_db, i),
+        )
+        for i in order:
+            won = next((c for c in bids[i] if c.reflector_name not in claimed), None)
+            if won is None:
+                continue
+            claimed[won.reflector_name] = i
+            rate = data_rate_mbps_for_snr(won.end_to_end_snr_db)
+            serving = rate > 0.0
+            if serving:
+                self._reflector(won.reflector_name).point_at(
+                    self.ap.position, headset_radios[i].position
+                )
+            decisions[i] = LinkDecision(
+                mode="reflector" if serving else "outage",
+                snr_db=won.end_to_end_snr_db,
+                rate_mbps=rate,
+                via=won.reflector_name if serving else None,
+                direct_snr_db=directs[i],
+                user=i,
+            )
+
+        for i in bids:
+            if decisions[i] is not None:
+                continue
+            contended = bool(bids[i])  # wanted reflectors, got none
+            nlos = self.nlos.evaluate(self.ap, headset_radios[i], occluder_sets[i])
+            snr = max(nlos.snr_db, directs[i])
+            rate = data_rate_mbps_for_snr(snr)
+            if rate <= 0.0:
+                mode = "outage"
+            else:
+                mode = "nlos" if nlos.snr_db >= directs[i] else "los"
+            decisions[i] = LinkDecision(
+                mode=mode,
+                snr_db=snr,
+                rate_mbps=rate,
+                direct_snr_db=directs[i],
+                user=i,
+                contended=contended,
+            )
+            if contended:
+                wanted = bids[i][0]
+                telemetry.inc("multiuser.contention")
+                telemetry.emit(
+                    telemetry.EventKind.CONTENTION,
+                    t_s=t_s,
+                    user=i,
+                    reflector=wanted.reflector_name,
+                    winner=claimed[wanted.reflector_name],
+                    wanted_snr_db=wanted.end_to_end_snr_db,
+                    fallback_snr_db=snr,
+                    fallback_mode=mode,
+                )
+        return tuple(decisions)
 
     def reset_link_state(self) -> None:
         """Forget the previous decision (start of a fresh session).
@@ -435,92 +527,162 @@ class MoVRSystem:
         Without this, the first decision of a new session would be
         compared against the last decision of the previous one and
         could emit a spurious handoff/outage transition.
+        Control-plane availability is infrastructure state and
+        survives a session reset.
         """
-        self._last_mode = None
-        self._last_via = None
-        self._blockage_active = False
-        self._last_decide_t = None
-        # Control-plane availability is infrastructure state and
-        # survives a session reset, but the next degraded decision
-        # should announce itself again.
-        self._degraded_emitted = False
+        self._link.reset()
 
-    def _emit_transitions(self, decision: LinkDecision, t_s: Optional[float]) -> None:
-        """Emit typed events for every state change this decision made."""
-        if self._control_down and decision.connected and not self._degraded_emitted:
+
+class LinkStateTracker:
+    """One headset's link-state memory behind the event log and QoE
+    series.
+
+    :meth:`record` compares each decision with the previous one and
+    emits the typed per-user events — blockage detected/cleared,
+    degraded serving, handoff, outage begin/end — and samples the
+    ``<prefix>*`` link series: ``mode_code``, ``rate_mbps``,
+    ``snr_db``, ``direct_snr_db``, ``amp_gain_db`` and
+    ``handoff_gap_ms``.  A HANDOFF means the relay resource changed
+    (``via`` changed: reflector acquired, released or swapped);
+    ``los`` <-> ``nlos`` moves re-steer the same AP<->headset radio
+    pair, so they are not handoffs.  Entering or leaving an outage is
+    an outage edge, not a handoff.
+
+    ``user`` (if given) is stamped on every event.  The tracker keeps
+    no reference to the system it records for (the system owns its
+    tracker, and a back-reference would keep both alive until the
+    cyclic garbage collector runs).
+    """
+
+    def __init__(self, prefix: str, user: Optional[int] = None) -> None:
+        self.prefix = prefix
+        self._fields = {} if user is None else {"user": user}
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the previous decision (start of a fresh session)."""
+        self._last_mode: Optional[str] = None
+        self._last_via: Optional[str] = None
+        self._blocked = False
+        self._last_t: Optional[float] = None
+        # The next degraded decision announces itself again.
+        self._flagged_episode: Optional[int] = None
+
+    def record(
+        self, system: MoVRSystem, decision: LinkDecision, t_s: Optional[float]
+    ) -> bool:
+        """Log one decision ``system`` made; True when the serving path
+        (mode or ``via``) differs from the previous decision, or there
+        was none."""
+        if t_s is not None:
+            self._sample(system, decision, t_s)
+        if (
+            system._control_down
+            and decision.connected
+            and self._flagged_episode != system._degraded_episodes
+        ):
             # Serving with a shrunken candidate set: flag it once per
             # degraded episode so reports show the exposure window.
-            telemetry.emit(
+            self._emit(
                 telemetry.EventKind.DEGRADED_SERVING,
-                t_s=t_s,
-                down=sorted(self._control_down),
+                t_s,
+                down=sorted(system._control_down),
                 mode=decision.mode,
                 via=decision.via,
                 snr_db=decision.snr_db,
             )
-            self._degraded_emitted = True
-        blocked = decision.direct_snr_db < self.handoff_snr_db
-        if blocked and not self._blockage_active:
-            telemetry.emit(
+            self._flagged_episode = system._degraded_episodes
+        blocked = decision.direct_snr_db < system.handoff_snr_db
+        if blocked and not self._blocked:
+            self._emit(
                 telemetry.EventKind.BLOCKAGE_DETECTED,
-                t_s=t_s,
+                t_s,
                 direct_snr_db=decision.direct_snr_db,
-                threshold_db=self.handoff_snr_db,
+                threshold_db=system.handoff_snr_db,
             )
-        elif not blocked and self._blockage_active:
-            telemetry.emit(
+        elif not blocked and self._blocked:
+            self._emit(
                 telemetry.EventKind.BLOCKAGE_CLEARED,
-                t_s=t_s,
+                t_s,
                 direct_snr_db=decision.direct_snr_db,
             )
-        self._blockage_active = blocked
-        if self._last_mode is not None and (
-            decision.mode != self._last_mode or decision.via != self._last_via
-        ):
-            # The serving-path switch gap: time since the last healthy
-            # decision on the old path.  At the 90 Hz VR frame clock
-            # this is one frame interval; a slower decision loop shows
-            # up directly in the handoff-gap SLO.
-            gap_ms: Optional[float] = None
-            if t_s is not None and self._last_decide_t is not None:
-                gap = (t_s - self._last_decide_t) * 1000.0
-                if gap >= 0.0:
-                    gap_ms = gap
-            if decision.mode == "outage":
-                telemetry.emit(
-                    telemetry.EventKind.OUTAGE_BEGIN,
-                    t_s=t_s,
-                    from_mode=self._last_mode,
-                    snr_db=decision.snr_db,
-                )
-            elif self._last_mode == "outage":
-                if gap_ms is not None:
-                    telemetry.sample(
-                        "link.handoff_gap_ms", t_s, gap_ms, min_interval_s=0.0
-                    )
-                telemetry.emit(
-                    telemetry.EventKind.OUTAGE_END,
-                    t_s=t_s,
-                    to_mode=decision.mode,
-                    via=decision.via,
-                    snr_db=decision.snr_db,
-                )
-            else:
-                if gap_ms is not None:
-                    telemetry.sample(
-                        "link.handoff_gap_ms", t_s, gap_ms, min_interval_s=0.0
-                    )
-                gap_field = {} if gap_ms is None else {"gap_ms": gap_ms}
-                telemetry.emit(
-                    telemetry.EventKind.HANDOFF,
-                    t_s=t_s,
-                    from_mode=self._last_mode,
-                    from_via=self._last_via,
-                    to_mode=decision.mode,
-                    to_via=decision.via,
-                    snr_db=decision.snr_db,
-                    direct_snr_db=decision.direct_snr_db,
-                    **gap_field,
-                )
+        self._blocked = blocked
+        changed = decision.mode != self._last_mode or decision.via != self._last_via
+        if changed and self._last_mode is not None:
+            self._emit_switch(decision, t_s)
         self._last_mode = decision.mode
         self._last_via = decision.via
+        if t_s is not None:
+            self._last_t = t_s
+        return changed
+
+    def _emit_switch(self, decision: LinkDecision, t_s: Optional[float]) -> None:
+        last_mode = self._last_mode
+        entering = decision.mode == "outage" and last_mode != "outage"
+        leaving = last_mode == "outage" and decision.mode != "outage"
+        if entering:
+            self._emit(
+                telemetry.EventKind.OUTAGE_BEGIN,
+                t_s,
+                from_mode=last_mode,
+                snr_db=decision.snr_db,
+            )
+            return
+        if not leaving and decision.via == self._last_via:
+            return
+        # The serving-path switch gap: time since the last decision on
+        # the old path.  At the 90 Hz VR frame clock this is one frame
+        # interval; a slower decision loop shows up directly in the
+        # handoff-gap SLO.
+        gap_field = {}
+        if t_s is not None and self._last_t is not None and t_s >= self._last_t:
+            gap_ms = (t_s - self._last_t) * 1000.0
+            telemetry.sample(
+                f"{self.prefix}handoff_gap_ms", t_s, gap_ms, min_interval_s=0.0
+            )
+            gap_field["gap_ms"] = gap_ms
+        if leaving:
+            self._emit(
+                telemetry.EventKind.OUTAGE_END,
+                t_s,
+                to_mode=decision.mode,
+                via=decision.via,
+                snr_db=decision.snr_db,
+            )
+        else:
+            self._emit(
+                telemetry.EventKind.HANDOFF,
+                t_s,
+                from_mode=last_mode,
+                from_via=self._last_via,
+                to_mode=decision.mode,
+                to_via=decision.via,
+                snr_db=decision.snr_db,
+                direct_snr_db=decision.direct_snr_db,
+                **gap_field,
+            )
+
+    def _emit(self, kind, t_s: Optional[float], **fields) -> None:
+        telemetry.emit(kind, t_s=t_s, **self._fields, **fields)
+
+    def _sample(self, system: MoVRSystem, decision: LinkDecision, t_s: float) -> None:
+        """Offer this instant's link state to the QoE time series.
+
+        Dark-link SNRs are legitimately ``-inf`` and are skipped (the
+        ``mode_code`` series carries the outage signal).
+        """
+        prefix = self.prefix
+        values = [
+            ("mode_code", SERVING_MODE_CODES[decision.mode]),
+            ("rate_mbps", decision.rate_mbps),
+            ("snr_db", decision.snr_db),
+            ("direct_snr_db", decision.direct_snr_db),
+        ]
+        if decision.via is not None:
+            reflector = system._reflector(decision.via)
+            values.append(("amp_gain_db", reflector.amplifier.gain_db))
+        for name, value in values:
+            if math.isfinite(value):
+                telemetry.sample(
+                    prefix + name, t_s, value, min_interval_s=SAMPLE_PERIOD_S
+                )

@@ -3,15 +3,14 @@
 The paper serves exactly one headset, but its own blockage study (§3)
 already features the killer multi-user scenario: "another person
 walking between the AP and the headset".  With several players in one
-room, three things the single-user controller never faces become the
-whole problem:
+room, three things a single headset never faces become the whole
+problem:
 
 * **Reflector contention** — a reflector is an analog
   amplify-and-forward device steered at exactly one headset, so two
   blocked players wanting the same wall reflector must be arbitrated.
-  The loser falls back to the best environmental reflection
-  (Opt-NLOS, §3) and the arbitration is recorded as a typed
-  ``contention`` event.
+  The decisions, arbitration included, come from the one decision
+  engine (:meth:`repro.core.controller.MoVRSystem.decide_joint`).
 * **Airtime sharing** — N video streams plus every user's beam-search
   probes share one TDD channel
   (:meth:`repro.control.scheduler.AirtimeScheduler.share_frame_window`),
@@ -23,30 +22,33 @@ whole problem:
   shared :class:`repro.sim.SceneCache` unchanged: its value-based
   occluder signatures key each user's scene separately.
 
-Per-headset QoE lands in ``user<i>.*`` telemetry series (one
-:class:`repro.rate.adaptation.RateAdapter` per user with
-``series_prefix="user<i>."``) and is folded into the aggregate
+Per-headset link state and events come from one
+:class:`repro.core.controller.LinkStateTracker` per user
+(``user<i>.*`` series, events stamped ``user=i``); per-headset QoE
+from one :class:`repro.rate.adaptation.RateAdapter` per user with
+``series_prefix="user<i>."``, folded into the aggregate
 ``users.worst.rate_mbps`` / ``users.mean.rate_mbps`` series that the
 stock SLO catalog watches.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.baselines.nlos_relay import OptNlosBaseline
 from repro.control.scheduler import AirtimeScheduler, SharedWindowImpact
-from repro.core.controller import MoVRSystem, RelayMeasurement
+from repro.core.controller import (
+    SAMPLE_PERIOD_S,
+    LinkDecision,
+    LinkStateTracker,
+    MoVRSystem,
+)
 from repro.geometry.bodies import PersonModel
 from repro.geometry.mobility import PoseSample
 from repro.geometry.room import Occluder
 from repro.link.radios import HEADSET_RADIO_CONFIG, Radio
 from repro.rate.adaptation import RateAdapter
-from repro.rate.mcs import data_rate_mbps_for_snr
-from repro.telemetry.slo import SERVING_MODE_CODES
 
 #: Probes one beam search costs when a user's serving path changes —
 #: the hierarchical search of the ablation study, not the exhaustive
@@ -55,32 +57,11 @@ DEFAULT_PROBES_PER_SEARCH = 234
 
 
 @dataclass(frozen=True)
-class UserDecision:
-    """One headset's serving decision for one instant."""
-
-    user: int
-    #: ``los`` | ``reflector`` | ``nlos`` (contention/coverage
-    #: fallback onto the best environmental reflection) | ``outage``.
-    mode: str
-    snr_db: float
-    rate_mbps: float
-    via: Optional[str] = None
-    direct_snr_db: float = -math.inf
-    #: True when this user wanted a reflector but lost it to a
-    #: higher-priority user this instant.
-    contended: bool = False
-
-    @property
-    def connected(self) -> bool:
-        return self.mode != "outage"
-
-
-@dataclass(frozen=True)
 class MultiUserTick:
     """Everything one multi-user scheduling instant produced."""
 
     t_s: float
-    decisions: Tuple[UserDecision, ...]
+    decisions: Tuple[LinkDecision, ...]
     #: The shared TDD window this tick's frames competed for.
     window: SharedWindowImpact
 
@@ -88,17 +69,14 @@ class MultiUserTick:
     def frames_lost(self) -> int:
         return self.window.frames_lost
 
-    def decision_for(self, user: int) -> UserDecision:
-        return self.decisions[user]
-
 
 class MultiUserSystem:
     """One room, one AP, a shared reflector fleet, N headsets.
 
-    Wraps a calibrated single-user :class:`MoVRSystem` (link budgets,
-    reflector models, scene cache) and adds the joint decisions the
-    single-user controller cannot make: reflector arbitration, shared
-    airtime, and cross-player blockage.
+    Wraps a calibrated :class:`MoVRSystem` (link budgets, reflector
+    models, scene cache, the decision engine) and adds what is truly
+    multi-user: cross-player blockage, per-user rate adaptation, the
+    shared airtime window and the ``users.*`` aggregates.
     """
 
     def __init__(
@@ -107,7 +85,6 @@ class MultiUserSystem:
         num_users: int,
         scheduler: Optional[AirtimeScheduler] = None,
         probes_per_search: int = DEFAULT_PROBES_PER_SEARCH,
-        sample_period_s: float = 0.005,
     ) -> None:
         if num_users < 1:
             raise ValueError("num_users must be >= 1")
@@ -117,14 +94,13 @@ class MultiUserSystem:
         self.num_users = num_users
         self.scheduler = scheduler if scheduler is not None else AirtimeScheduler()
         self.probes_per_search = probes_per_search
-        self.sample_period_s = sample_period_s
-        self.nlos = OptNlosBaseline(system.budget)
         self.adapters = [
             RateAdapter(series_prefix=f"user{i}.") for i in range(num_users)
         ]
-        # Per-user serving-path memory behind the typed event log.
-        self._last_mode: List[Optional[str]] = [None] * num_users
-        self._last_via: List[Optional[str]] = [None] * num_users
+        self.trackers = [
+            LinkStateTracker(prefix=f"user{i}.", user=i)
+            for i in range(num_users)
+        ]
         self._tick = 0
 
     # ------------------------------------------------------------------
@@ -168,290 +144,69 @@ class MultiUserSystem:
     ) -> MultiUserTick:
         """Decide every user's serving path and share the TDD window.
 
-        ``poses`` must have one entry per user.  Healthy direct links
-        are preferred (they need no relay resources); blocked users bid
-        for every reflector that improves on their blocked direct path,
-        and the arbiter processes bidders best-bid-first (ties break
-        toward the lower user index, deterministically), awarding each
-        their best still-unclaimed reflector — a reflector steers at
-        exactly one headset.  A bidder whose every wanted reflector was
-        claimed by higher-priority users falls back to Opt-NLOS and
-        emits a ``contention`` event; blocked users no reflector could
-        help at all fall back too, silently (coverage, not contention).
+        ``poses`` must have one entry per user.  The decisions come
+        from :meth:`MoVRSystem.decide_joint` (see there for the
+        policy and the arbitration); a user whose serving path changed
+        pays one beam search's probes in this tick's window.
         """
         if len(poses) != self.num_users:
             raise ValueError(
                 f"got {len(poses)} poses for {self.num_users} users"
             )
         system = self.system
+        for i, pose in enumerate(poses):
+            system.check_headset(pose.position, pose.yaw_deg, f"poses[{i}]")
         radios = [self.headset_radio(i, pose) for i, pose in enumerate(poses)]
         occluders = [
             self.mutual_occluders(i, poses, extra_occluders)
             for i in range(self.num_users)
         ]
+        decisions = system.decide_joint(radios, occluders, t_s)
 
-        # Pass 1: direct links; users clearing the handoff threshold
-        # keep the AP and never enter the arbitration.
-        decisions: List[Optional[UserDecision]] = [None] * self.num_users
-        blocked: List[int] = []
-        directs: List[float] = []
-        for i, radio in enumerate(radios):
-            direct = system.direct_link(radio, occluders[i])
-            directs.append(direct.snr_db)
-            if direct.snr_db >= system.handoff_snr_db:
-                decisions[i] = UserDecision(
-                    user=i,
-                    mode="los",
-                    snr_db=direct.snr_db,
-                    rate_mbps=data_rate_mbps_for_snr(direct.snr_db),
-                    direct_snr_db=direct.snr_db,
-                )
-            else:
-                blocked.append(i)
-
-        # Pass 2: every blocked user's candidate reflectors, best first
-        # (only candidates that actually improve on the blocked direct
-        # path are worth bidding for).
-        bids: Dict[int, List[RelayMeasurement]] = {}
-        for i in blocked:
-            bids[i] = [
-                c
-                for c in self._relay_candidates(radios[i], occluders[i])
-                if c.end_to_end_snr_db > directs[i]
-            ]
-
-        # Pass 3: arbitration, best-bid-first (ties toward the lower
-        # user index, deterministically).  Each bidder takes their best
-        # still-unclaimed reflector; whoever finds every wanted
-        # reflector already claimed is a contention loser.
-        claimed: Dict[str, int] = {}
-        assignment: Dict[int, RelayMeasurement] = {}
-        order = sorted(
-            (i for i in blocked if bids[i]),
-            key=lambda i: (-bids[i][0].end_to_end_snr_db, i),
-        )
-        for i in order:
-            for candidate in bids[i]:
-                if candidate.reflector_name not in claimed:
-                    claimed[candidate.reflector_name] = i
-                    assignment[i] = candidate
-                    break
-
-        for i in blocked:
-            won = assignment.get(i)
-            if won is not None:
-                # Re-steer the awarded reflector at its winner (bids
-                # were evaluated sequentially and left stale beams).
-                reflector = self._reflector_by_name(won.reflector_name)
-                final = system.relay_link(reflector, radios[i], occluders[i])
-                rate = data_rate_mbps_for_snr(final.end_to_end_snr_db)
-                decisions[i] = UserDecision(
-                    user=i,
-                    mode="reflector" if rate > 0.0 else "outage",
-                    snr_db=final.end_to_end_snr_db,
-                    rate_mbps=rate,
-                    via=won.reflector_name if rate > 0.0 else None,
-                    direct_snr_db=directs[i],
-                )
-            else:
-                contended = bool(bids[i])  # wanted reflectors, got none
-                decisions[i] = self._nlos_fallback(
-                    i, radios[i], occluders[i], directs[i], contended
-                )
-                if contended:
-                    wanted = bids[i][0]
-                    telemetry.inc("multiuser.contention")
-                    telemetry.emit(
-                        telemetry.EventKind.CONTENTION,
-                        t_s=t_s,
-                        user=i,
-                        reflector=wanted.reflector_name,
-                        winner=claimed[wanted.reflector_name],
-                        wanted_snr_db=wanted.end_to_end_snr_db,
-                        fallback_snr_db=decisions[i].snr_db,
-                        fallback_mode=decisions[i].mode,
-                    )
-
-        final_decisions = tuple(d for d in decisions if d is not None)
-        assert len(final_decisions) == self.num_users
-
-        # Rate adaptation + QoE series, then the shared TDD window at
+        # Rate adaptation + link state, then the shared TDD window at
         # the adapted per-user rates: frame loss becomes a function of
         # how many frames (and search probes) the window must carry.
         probe_counts = []
-        for i, decision in enumerate(final_decisions):
+        for i, decision in enumerate(decisions):
             self.adapters[i].observe(decision.snr_db, t_s=t_s)
-            searched = (
-                decision.mode != self._last_mode[i]
-                or decision.via != self._last_via[i]
-            )
+            searched = self.trackers[i].record(system, decision, t_s)
             probe_counts.append(self.probes_per_search if searched else 0)
-            self._emit_transitions(i, decision, t_s)
         rates = [a.current_rate_mbps for a in self.adapters]
         window = self.scheduler.share_frame_window(
             rates, probe_counts=probe_counts, priority_offset=self._tick
         )
-        self._sample_aggregates(t_s, rates, final_decisions, window)
+        self._sample_aggregates(t_s, rates, decisions, window)
         telemetry.inc("multiuser.ticks")
         telemetry.inc("multiuser.frames_lost", window.frames_lost)
         self._tick += 1
-        return MultiUserTick(t_s=t_s, decisions=final_decisions, window=window)
+        return MultiUserTick(t_s=t_s, decisions=decisions, window=window)
 
     def reset_link_state(self) -> None:
         """Forget serving-path memory (start of a fresh session)."""
-        self._last_mode = [None] * self.num_users
-        self._last_via = [None] * self.num_users
+        for tracker in self.trackers:
+            tracker.reset()
         self._tick = 0
         for adapter in self.adapters:
             adapter.reset()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _reflector_by_name(self, name: str):
-        for reflector in self.system.reflectors:
-            if reflector.name == name:
-                return reflector
-        raise KeyError(name)
-
-    def _relay_candidates(
-        self, radio: Radio, occluders: Sequence[Occluder]
-    ) -> List[RelayMeasurement]:
-        """Usable reflectors for this user, best SNR first."""
-        system = self.system
-        candidates = [
-            system.relay_link(r, radio, occluders)
-            for r in system.reflectors
-            if r.name not in system.control_down
-            and r.can_serve(system.ap.position, radio.position)
-        ]
-        candidates = [c for c in candidates if math.isfinite(c.end_to_end_snr_db)]
-        candidates.sort(key=lambda m: (-m.end_to_end_snr_db, m.reflector_name))
-        return candidates
-
-    def _nlos_fallback(
-        self,
-        user: int,
-        radio: Radio,
-        occluders: Sequence[Occluder],
-        direct_snr_db: float,
-        contended: bool,
-    ) -> UserDecision:
-        """Best environmental reflection (or the weak direct path)."""
-        result = self.nlos.evaluate(self.system.ap, radio, occluders)
-        snr = max(result.snr_db, direct_snr_db)
-        rate = data_rate_mbps_for_snr(snr)
-        if rate <= 0.0:
-            return UserDecision(
-                user=user,
-                mode="outage",
-                snr_db=snr,
-                rate_mbps=0.0,
-                direct_snr_db=direct_snr_db,
-                contended=contended,
-            )
-        mode = "nlos" if result.snr_db >= direct_snr_db else "los"
-        return UserDecision(
-            user=user,
-            mode=mode,
-            snr_db=snr,
-            rate_mbps=rate,
-            direct_snr_db=direct_snr_db,
-            contended=contended,
-        )
-
-    def _emit_transitions(
-        self, user: int, decision: UserDecision, t_s: float
-    ) -> None:
-        """Per-user serving events, mirroring the single-user log.
-
-        A HANDOFF is a *serving-path* switch: the relay resource
-        changed (reflector acquired, released, or swapped).  ``los``
-        <-> ``nlos`` moves re-steer the same AP<->headset radio pair
-        onto a different path, so they are not handoffs.
-        """
-        period = self.sample_period_s
-        telemetry.sample(
-            f"user{user}.mode_code",
-            t_s,
-            SERVING_MODE_CODES[decision.mode],
-            min_interval_s=period,
-        )
-        if math.isfinite(decision.snr_db):
-            telemetry.sample(
-                f"user{user}.snr_db", t_s, decision.snr_db, min_interval_s=period
-            )
-        last_mode = self._last_mode[user]
-        last_via = self._last_via[user]
-        if last_mode is not None:
-            if decision.mode == "outage" and last_mode != "outage":
-                telemetry.emit(
-                    telemetry.EventKind.OUTAGE_BEGIN,
-                    t_s=t_s,
-                    user=user,
-                    from_mode=last_mode,
-                    snr_db=decision.snr_db,
-                )
-            elif last_mode == "outage" and decision.mode != "outage":
-                telemetry.emit(
-                    telemetry.EventKind.OUTAGE_END,
-                    t_s=t_s,
-                    user=user,
-                    to_mode=decision.mode,
-                    via=decision.via,
-                    snr_db=decision.snr_db,
-                )
-            elif decision.via != last_via:
-                telemetry.inc("multiuser.handoffs")
-                telemetry.emit(
-                    telemetry.EventKind.HANDOFF,
-                    t_s=t_s,
-                    user=user,
-                    from_mode=last_mode,
-                    from_via=last_via,
-                    to_mode=decision.mode,
-                    to_via=decision.via,
-                    snr_db=decision.snr_db,
-                    direct_snr_db=decision.direct_snr_db,
-                )
-        self._last_mode[user] = decision.mode
-        self._last_via[user] = decision.via
 
     def _sample_aggregates(
         self,
         t_s: float,
         rates: Sequence[float],
-        decisions: Tuple[UserDecision, ...],
+        decisions: Tuple[LinkDecision, ...],
         window: SharedWindowImpact,
     ) -> None:
-        period = self.sample_period_s
-        telemetry.sample(
-            "users.worst.rate_mbps", t_s, min(rates), min_interval_s=period
-        )
-        telemetry.sample(
-            "users.mean.rate_mbps",
-            t_s,
-            sum(rates) / len(rates),
-            min_interval_s=period,
-        )
-        telemetry.sample(
-            "users.frame_loss_fraction",
-            t_s,
-            window.frames_lost / window.num_users,
-            min_interval_s=period,
-        )
-        telemetry.sample(
-            "users.connected",
-            t_s,
-            sum(1 for d in decisions if d.connected),
-            min_interval_s=period,
-        )
+        for name, value in (
+            ("users.worst.rate_mbps", min(rates)),
+            ("users.mean.rate_mbps", sum(rates) / len(rates)),
+            ("users.frame_loss_fraction", window.frames_lost / window.num_users),
+            ("users.connected", sum(1 for d in decisions if d.connected)),
+        ):
+            telemetry.sample(name, t_s, value, min_interval_s=SAMPLE_PERIOD_S)
 
 
 __all__ = [
     "DEFAULT_PROBES_PER_SEARCH",
     "MultiUserSystem",
     "MultiUserTick",
-    "UserDecision",
 ]

@@ -138,6 +138,19 @@ class MoVRReflector:
             bearing_deg(self.position, tx_target),
         )
 
+    def aim(self, rx_target: Vec2, tx_target: Vec2) -> Tuple[float, float]:
+        """The (rx, tx) beams :meth:`point_at` would set, without
+        setting them."""
+        return (
+            self.rx_array.achieved_deg(bearing_deg(self.position, rx_target)),
+            self.tx_array.achieved_deg(bearing_deg(self.position, tx_target)),
+        )
+
+    @property
+    def beams(self) -> Tuple[float, float]:
+        """The (rx, tx) beam azimuths the arrays hold now."""
+        return self.rx_array.steering_deg, self.tx_array.steering_deg
+
     @property
     def rx_azimuth_deg(self) -> float:
         return self.rx_array.steering_deg
@@ -161,31 +174,40 @@ class MoVRReflector:
         )
 
     # -- feedback loop ------------------------------------------------------
+    #
+    # ``beams`` is an (rx, tx) azimuth pair to evaluate instead of the
+    # beams the arrays hold (see :meth:`aim`); the reflector itself is
+    # never re-steered.
 
-    def leakage_db(self) -> float:
-        """TX->RX coupling at the current beam angles (negative dB)."""
+    def leakage_db(self, beams: Optional[Tuple[float, float]] = None) -> float:
+        """TX->RX coupling at the held (or given) beams (negative dB)."""
+        rx, tx = self.beams if beams is None else beams
         return self.leakage_model.leakage_db(
-            self.azimuth_to_prototype(self.tx_azimuth_deg),
-            self.azimuth_to_prototype(self.rx_azimuth_deg),
+            self.azimuth_to_prototype(tx), self.azimuth_to_prototype(rx)
         )
 
-    def is_stable(self) -> bool:
-        """Is the feedback loop stable at the current gain and beams?"""
-        return loop_is_stable(self.amplifier.gain_db, self.leakage_db())
+    def is_stable(self, beams: Optional[Tuple[float, float]] = None) -> bool:
+        """Is the feedback loop stable at the current gain and the held
+        (or given) beams?"""
+        return loop_is_stable(self.amplifier.gain_db, self.leakage_db(beams))
 
-    def effective_gain_db(self) -> Optional[float]:
+    def effective_gain_db(
+        self, beams: Optional[Tuple[float, float]] = None
+    ) -> Optional[float]:
         """Closed-loop amplifier gain including feedback peaking.
 
         ``None`` when the loop is unstable (the amplifier would emit
         garbage, not an amplified copy of the input).
         """
-        leak = self.leakage_db()
+        leak = self.leakage_db(beams)
         gain = self.amplifier.gain_db
         if not loop_is_stable(gain, leak):
             return None
         return closed_loop_gain_db(gain, leak)
 
-    def output_power_dbm(self, input_power_dbm: float) -> float:
+    def output_power_dbm(
+        self, input_power_dbm: float, beams: Optional[Tuple[float, float]] = None
+    ) -> float:
         """Amplifier output power for a given power at the RX array port.
 
         Includes closed-loop peaking of both the signal and the
@@ -194,7 +216,7 @@ class MoVRReflector:
         compression — the current signature the gain controller
         detects), soft-capped at the amplifier's saturation power.
         """
-        effective = self.effective_gain_db()
+        effective = self.effective_gain_db(beams)
         if effective is None:
             # Self-oscillation: output pinned at saturation.
             return self.amplifier.spec.psat_dbm

@@ -140,10 +140,17 @@ class PhasedArray:
         to the phase-shifter resolution; the *achieved* absolute
         azimuth is returned.
         """
+        self._steer_deg = self._relative_steer(azimuth_deg)
+        return self.steering_deg
+
+    def achieved_deg(self, azimuth_deg: float) -> float:
+        """The azimuth :meth:`steer_to` would achieve, without steering."""
+        return self.boresight_deg + self._relative_steer(azimuth_deg)
+
+    def _relative_steer(self, azimuth_deg: float) -> float:
         relative = angle_difference_deg(azimuth_deg, self.boresight_deg)
         relative = max(-self.config.max_scan_deg, min(self.config.max_scan_deg, relative))
-        self._steer_deg = self._quantize(relative)
-        return self.steering_deg
+        return self._quantize(relative)
 
     def can_steer_to(self, azimuth_deg: float) -> bool:
         """True iff the azimuth is inside the scan range."""

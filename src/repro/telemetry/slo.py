@@ -28,7 +28,7 @@ stream — pinned by a hypothesis test in ``tests/telemetry/test_slo.py``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -335,14 +335,16 @@ def default_slos() -> Tuple[SloSpec, ...]:
     )
 
 
-#: Pattern of the per-headset adapted-rate series a multi-user run
-#: records (one :class:`repro.rate.adaptation.RateAdapter` per user
-#: with ``series_prefix="user<i>."``).
-_PER_USER_RATE_SERIES = re.compile(r"^user(\d+)\.rate\.mbps$")
+#: Per-headset series a multi-user run records: the adapted rate (one
+#: :class:`repro.rate.adaptation.RateAdapter` per user with
+#: ``series_prefix="user<i>."``) and the serving-path switch gap (one
+#: :class:`repro.core.controller.LinkStateTracker` per user).
+_PER_USER_SERIES = re.compile(r"^user(\d+)\.(rate\.mbps|handoff_gap_ms)$")
 
 
 def per_user_slos(scope: TelemetryScope) -> Tuple[SloSpec, ...]:
-    """One required-rate objective per discovered ``user<i>.rate.mbps``.
+    """One required-rate objective per discovered ``user<i>.rate.mbps``
+    and one handoff-gap objective per ``user<i>.handoff_gap_ms``.
 
     Multi-user runs create their QoE series dynamically (the user
     count is a parameter), so the catalog cannot list them statically;
@@ -351,12 +353,23 @@ def per_user_slos(scope: TelemetryScope) -> Tuple[SloSpec, ...]:
     from repro.vr.traffic import DEFAULT_TRAFFIC
 
     required = DEFAULT_TRAFFIC.required_rate_mbps
+    gap = next(s for s in default_slos() if s.series == "link.handoff_gap_ms")
     specs = []
     for name in scope.registry.series_names():
-        match = _PER_USER_RATE_SERIES.match(name)
+        match = _PER_USER_SERIES.match(name)
         if match is None:
             continue
         user = int(match.group(1))
+        if match.group(2) == "handoff_gap_ms":
+            specs.append(
+                replace(
+                    gap,
+                    name=f"user{user}-{gap.name}",
+                    series=name,
+                    objective=f"user {user} {gap.objective}",
+                )
+            )
+            continue
         specs.append(
             SloSpec(
                 name=f"user{user}-time-below-required-rate",
@@ -379,9 +392,9 @@ def evaluate_scope(
 ) -> List[SloResult]:
     """Evaluate every spec whose series the scope actually recorded.
 
-    With ``specs=None`` the stock catalog applies, extended with one
-    per-user required-rate objective for every ``user<i>.rate.mbps``
-    series the scope recorded (see :func:`per_user_slos`).
+    With ``specs=None`` the stock catalog applies, extended with the
+    per-user objectives for every ``user<i>.*`` series the scope
+    recorded (see :func:`per_user_slos`).
 
     With ``emit=True`` (the default), each violation episode appends
     one ``slo_violation`` event to the *active* telemetry scope —
