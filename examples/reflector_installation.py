@@ -16,8 +16,6 @@ Walks through what happens when you stick a reflector to a wall:
 Run:  python examples/reflector_installation.py
 """
 
-import numpy as np
-
 from repro.core import (
     BackscatterAngleSearch,
     CurrentSensingGainController,

@@ -12,9 +12,7 @@ Run:  python examples/room_planner.py
 """
 
 from itertools import combinations
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from repro.core import MoVRReflector, MoVRSystem
 from repro.experiments.testbed import (
@@ -26,7 +24,6 @@ from repro.geometry import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.radios import DEFAULT_RADIO_CONFIG, Radio
 from repro.phy import MmWaveChannel
-from repro.rate import data_rate_mbps_for_snr
 from repro.utils.rng import make_rng
 from repro.vr import DEFAULT_TRAFFIC
 

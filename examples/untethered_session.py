@@ -12,7 +12,6 @@ Run:  python examples/untethered_session.py
 
 from repro.experiments import default_testbed
 from repro.experiments.e2e_session import run_e2e_session
-from repro.experiments.power_budget import run_power_budget
 from repro.geometry import VrPlayerMotion
 from repro.vr import ANKER_ASTRO_5200, HeadsetPowerModel
 

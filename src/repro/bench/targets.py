@@ -1,13 +1,13 @@
 """The curated benchmark suite behind ``python -m repro bench``.
 
 Each target regenerates one paper artifact (or extension) with pinned
-parameters, mirroring the pytest-benchmark modules under
-``benchmarks/`` — but runnable without pytest, so the trajectory
-runner (:mod:`repro.bench.runner`) can time it min-of-k and snapshot
-its telemetry.  Quick mode shrinks the workloads that dominate
-wall-clock time; quick and full entries are never diffed against each
-other (the workloads differ), which the trajectory layer enforces via
-the entry's ``quick`` flag.
+parameters, so the trajectory runner (:mod:`repro.bench.runner`) can
+time it min-of-k and snapshot its telemetry.  This is the only
+experiment-level timing harness; ``tickbench/`` times single ticks.
+Quick mode shrinks the workloads that dominate wall-clock time; quick
+and full entries are never diffed against each other (the workloads
+differ), which the trajectory layer enforces via the entry's ``quick``
+flag.
 """
 
 from __future__ import annotations

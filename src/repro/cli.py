@@ -38,6 +38,7 @@ a ``BENCH_<n>.json`` trajectory entry (see docs/observability.md).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -47,9 +48,16 @@ from typing import List, Optional
 from repro import telemetry
 from repro.experiments import ALL_EXPERIMENTS
 
-#: Experiments that accept a ``seed`` keyword (all but the
-#: deterministic ones).
-_SEEDLESS = {"fig7", "sec6-battery"}
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 is meaningful and < 0 is not."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=2016, help="experiment seed")
     run.add_argument(
         "--max-rows",
-        type=int,
+        type=_non_negative_int,
         default=20,
         help="limit printed table rows (default 20)",
     )
@@ -105,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--max-events",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="print at most N events per experiment (ignored with --events)",
@@ -191,8 +199,9 @@ def _run_one(
     slo_detail: bool = False,
 ) -> bool:
     fn = ALL_EXPERIMENTS[experiment_id]
-    kwargs = {} if experiment_id in _SEEDLESS else {"seed": seed}
-    report = fn(**kwargs)
+    # Deterministic experiments take no seed.
+    takes_seed = "seed" in inspect.signature(fn).parameters
+    report = fn(**({"seed": seed} if takes_seed else {}))
     if show_all_events:
         report.max_events = None
         report.print_report(max_rows=max_rows, max_events=None, slo_detail=slo_detail)

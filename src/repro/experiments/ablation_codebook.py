@@ -90,5 +90,4 @@ def run_ablation_codebook(
         > results[8][1].worst_gain_dbi,
         "aperture gain outruns scalloping",
     )
-    report.attach_perf()
     return report

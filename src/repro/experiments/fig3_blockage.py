@@ -163,5 +163,4 @@ def run_fig3(
         and float(np.mean(samples.rate_mbps["NLOS"])) < required_rate,
         f"measured NLOS drop {nlos_drop:.1f} dB",
     )
-    report.attach_perf()
     return report

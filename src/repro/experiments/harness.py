@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import telemetry
-from repro.sim.counters import legacy_perf_snapshot
 from repro.telemetry import slo as slo_engine
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.scopes import TelemetryScope
+from repro.utils.validation import require_int
 
 #: How many events the text report shows without ``--events``.
 DEFAULT_MAX_EVENTS = 8
@@ -57,6 +58,8 @@ class ExperimentReport:
     rows: List[Dict[str, object]] = field(default_factory=list)
     checks: List[ShapeCheck] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: The scene/kernel work counters plus the derived cache hit rate
+    #: and mean kernel batch (see :func:`_perf_summary`).
     perf: Dict[str, object] = field(default_factory=dict)
     #: Typed control-plane events (dicts with ``kind``/``t_s``/state).
     events: List[Dict[str, object]] = field(default_factory=list)
@@ -76,22 +79,9 @@ class ExperimentReport:
     def add_row(self, **fields: object) -> None:
         self.rows.append(dict(fields))
 
-    def attach_perf(self, registry=None) -> None:
-        """Snapshot a registry's legacy perf counters.
-
-        Kept for the pre-telemetry report surface: ``perf`` carries
-        the seven scene/kernel counters plus the derived rates, read
-        via :func:`repro.sim.counters.legacy_perf_snapshot` (the
-        deprecated ``COUNTERS`` facade is no longer involved).  The
-        full metric snapshot (histograms included) lands in
-        :attr:`metrics` via :meth:`attach_telemetry`.
-        """
-        registry = registry if registry is not None else telemetry.metrics()
-        self.perf = legacy_perf_snapshot(registry)
-
     def attach_telemetry(self, scope: TelemetryScope) -> None:
         """Capture everything a telemetry scope collected for this run."""
-        self.attach_perf(scope.registry)
+        self.perf = _perf_summary(scope.registry)
         self.metrics = scope.registry.snapshot()
         self.events = [event.to_dict() for event in scope.events]
         self.spans = [span.to_dict() for span in scope.tracer.roots]
@@ -115,10 +105,20 @@ class ExperimentReport:
     # -- rendering --------------------------------------------------------
 
     def format_table(self, max_rows: Optional[int] = None) -> str:
-        """Render rows as a fixed-width text table."""
+        """Render rows as a fixed-width text table.
+
+        ``max_rows`` caps the rendered rows; the rest collapse into a
+        ``... (N more rows)`` line, which is all ``max_rows=0`` shows.
+        """
+        if max_rows is not None:
+            require_int(max_rows, "max_rows", minimum=0)
         if not self.rows:
             return "(no rows)"
         rows = self.rows if max_rows is None else self.rows[:max_rows]
+        hidden = len(self.rows) - len(rows)
+        suffix = [f"... ({hidden} more rows)"] if hidden else []
+        if not rows:
+            return "\n".join(suffix)
         columns = list(rows[0].keys())
         rendered: List[List[str]] = []
         for row in rows:
@@ -132,9 +132,6 @@ class ExperimentReport:
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r))
             for r in rendered
         ]
-        suffix = []
-        if max_rows is not None and len(self.rows) > max_rows:
-            suffix.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join([header, separator] + body + suffix)
 
     def _resolve_max_events(self, max_events: object) -> Optional[int]:
@@ -340,6 +337,32 @@ def scoped_run(
         return wrapper
 
     return decorate
+
+
+#: ``perf`` key -> registry counter, in report order.
+_PERF_METRICS: Dict[str, str] = {
+    "tracer_calls": "scene.tracer_calls",
+    "cache_hits": "scene.cache.hits",
+    "cache_misses": "scene.cache.misses",
+    "cache_invalidations": "scene.cache.invalidations",
+    "kernel_batches": "kernel.batches",
+    "kernel_angles": "kernel.angles",
+    "link_sweeps": "link.sweeps",
+}
+
+
+def _perf_summary(registry: MetricsRegistry) -> Dict[str, object]:
+    """The report's ``perf`` block, read from a run's registry."""
+    perf: Dict[str, object] = {
+        key: registry.counter_value(metric) for key, metric in _PERF_METRICS.items()
+    }
+    hits = registry.counter_value("scene.cache.hits")
+    queries = hits + registry.counter_value("scene.cache.misses")
+    perf["cache_hit_rate"] = round(hits / queries, 4) if queries else 0.0
+    batches = registry.counter_value("kernel.batches")
+    angles = registry.counter_value("kernel.angles")
+    perf["mean_kernel_batch"] = round(angles / batches, 2) if batches else 0.0
+    return perf
 
 
 def _format_event(event: Dict[str, object]) -> str:

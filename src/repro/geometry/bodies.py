@@ -21,7 +21,6 @@ from repro.geometry.vectors import Vec2
 HAND_RADIUS_M = 0.05
 HEAD_RADIUS_M = 0.095
 TORSO_RADIUS_M = 0.17
-UPPER_ARM_RADIUS_M = 0.045
 
 #: Typical distance from the headset faceplate at which a player holds
 #: a raised hand (e.g. reaching for a controller or gesturing).

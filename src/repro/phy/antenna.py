@@ -68,11 +68,6 @@ class PhasedArrayConfig:
         return wavelength(self.carrier_hz)
 
     @property
-    def aperture_m(self) -> float:
-        """Physical aperture length of the array."""
-        return (self.num_elements - 1) * self.spacing_wavelengths * self.wavelength_m
-
-    @property
     def boresight_gain_dbi(self) -> float:
         """Peak gain when steered to broadside: array gain + element gain."""
         return 10.0 * math.log10(self.num_elements) + self.element_gain_dbi

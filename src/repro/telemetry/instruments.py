@@ -19,7 +19,7 @@ concatenate.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

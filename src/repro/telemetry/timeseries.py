@@ -137,13 +137,6 @@ class TimeSeries:
         """Number of samples currently held in the reservoir."""
         return len(self._times)
 
-    @property
-    def span_s(self) -> float:
-        """Timeline extent covered by the accepted samples."""
-        if self.first_t_s is None or self.last_t_s is None:
-            return 0.0
-        return self.last_t_s - self.first_t_s
-
     def points(self) -> List[Tuple[float, float]]:
         """Retained ``(t, value)`` samples in time order.
 

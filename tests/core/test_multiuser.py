@@ -1,7 +1,5 @@
 """Unit tests for the multi-headset serving core."""
 
-import math
-
 import pytest
 
 from repro import telemetry

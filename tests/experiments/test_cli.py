@@ -1,5 +1,7 @@
 """Unit tests for the ``python -m repro`` CLI."""
 
+import copy
+
 import pytest
 
 from repro.cli import main
@@ -29,6 +31,27 @@ class TestRun:
         assert main(["run", "fig8", "--seed", "3", "--max-rows", "2"]) == 0
         out = capsys.readouterr().out
         assert "more rows" in out
+
+    def test_zero_max_rows_prints_only_the_row_count(self, capsys):
+        assert main(["run", "fig7", "--max-rows", "0"]) == 0
+        out = capsys.readouterr().out
+        n_rows = len(ALL_EXPERIMENTS["fig7"]().rows)
+        assert f"... ({n_rows} more rows)" in out
+        assert "[PASS]" in out
+
+    @pytest.mark.parametrize("flag", ["--max-rows", "--max-events"])
+    def test_negative_count_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig7", flag, "-1"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_seedless_experiment_runs(self, capsys):
+        # ablation-codebook is deterministic and takes no seed; the CLI
+        # must not pass one (with or without --seed).
+        assert main(["run", "ablation-codebook"]) == 0
+        assert main(["run", "ablation-codebook", "--seed", "3"]) == 0
+        assert "ablation-codebook" in capsys.readouterr().out
 
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["run", "nonsense"]) == 2
@@ -65,6 +88,28 @@ class TestPerExperimentPath:
         assert _per_experiment_path("report", "fig7") == "report-fig7"
 
 
+@pytest.fixture(scope="module")
+def e2e_seed7_report():
+    """One ``ext-e2e --seed 7`` report shared by the rendering-only flags."""
+    return ALL_EXPERIMENTS["ext-e2e"](seed=7)
+
+
+@pytest.fixture
+def cached_e2e(monkeypatch, e2e_seed7_report):
+    """Serve ``run ext-e2e`` from the shared report.
+
+    ``--events``, ``--max-events`` and ``--slo`` only change how the
+    report renders, so they need not re-run the session.  The CLI sets
+    ``max_events`` on the report it gets, hence the deep copy.
+    """
+
+    def run(seed):
+        assert seed == 7
+        return copy.deepcopy(e2e_seed7_report)
+
+    monkeypatch.setitem(ALL_EXPERIMENTS, "ext-e2e", run)
+
+
 class TestTelemetryFlags:
     def test_metrics_and_trace_outputs(self, tmp_path, capsys):
         import json
@@ -96,13 +141,13 @@ class TestTelemetryFlags:
         assert "fig8" in names
         assert all(e["ph"] == "X" for e in trace["traceEvents"])
 
-    def test_events_flag_prints_full_log(self, capsys):
+    def test_events_flag_prints_full_log(self, capsys, cached_e2e):
         assert main(["run", "ext-e2e", "--seed", "7", "--events"]) == 0
         out = capsys.readouterr().out
         assert "control events" in out
         assert "more events" not in out
 
-    def test_max_events_flag_truncates_log(self, capsys):
+    def test_max_events_flag_truncates_log(self, capsys, cached_e2e):
         assert main(["run", "ext-e2e", "--seed", "7", "--max-events", "2"]) == 0
         out = capsys.readouterr().out
         assert "more events" in out
@@ -115,7 +160,7 @@ class TestTelemetryFlags:
         ]
         assert len(event_lines) == 2
 
-    def test_slo_flag_shows_window_breakdown(self, capsys):
+    def test_slo_flag_shows_window_breakdown(self, capsys, cached_e2e):
         assert main(["run", "ext-e2e", "--seed", "7", "--slo"]) == 0
         out = capsys.readouterr().out
         assert "SLOs (" in out
@@ -134,18 +179,33 @@ class TestTelemetryFlags:
         assert series["link.snr_db"]["points"]
 
 
+class _FakeClock:
+    """Stands in for ``time`` in :mod:`repro.bench.runner`.
+
+    Every ``perf_counter`` call advances by ``step_s``, so each timed
+    round measures exactly one step.  Powers of two keep the float
+    arithmetic exact.
+    """
+
+    def __init__(self, step_s):
+        self.step_s = step_s
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += self.step_s
+        return self.now
+
+
+def _bench_args(directory):
+    return ["bench", "--quick", "--rounds", "1", "--only", "fig7", "--dir", str(directory)]
+
+
 class TestBenchCommand:
-    def test_bench_writes_and_diffs_trajectory(self, tmp_path, capsys):
-        args = [
-            "bench",
-            "--quick",
-            "--rounds",
-            "1",
-            "--only",
-            "fig7",
-            "--dir",
-            str(tmp_path),
-        ]
+    def test_bench_writes_and_diffs_trajectory(self, tmp_path, capsys, monkeypatch):
+        # A fake clock makes every round take exactly the same time, so
+        # the self-diff is 0% whatever the host is doing.
+        monkeypatch.setattr("repro.bench.runner.time", _FakeClock(2.0**-6))
+        args = _bench_args(tmp_path)
         assert main(args) == 0
         assert (tmp_path / "BENCH_0.json").exists()
         capsys.readouterr()
@@ -156,6 +216,17 @@ class TestBenchCommand:
         assert (tmp_path / "BENCH_1.json").exists()
         assert "bench diff: entry 0 -> 1" in out
         assert "REGRESSION" not in out
+
+    def test_check_fails_on_a_2x_slowdown(self, tmp_path, capsys, monkeypatch):
+        args = _bench_args(tmp_path)
+        monkeypatch.setattr("repro.bench.runner.time", _FakeClock(2.0**-6))
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("repro.bench.runner.time", _FakeClock(2.0**-5))
+        assert main(args + ["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "+100.0%" in out
 
     def test_bench_entry_is_schema_valid(self, tmp_path):
         import json

@@ -1,6 +1,8 @@
 """Unit tests for the experiment report harness."""
 
+import pytest
 
+from repro import telemetry
 from repro.experiments.harness import ExperimentReport, ShapeCheck
 
 
@@ -36,6 +38,35 @@ class TestExperimentReport:
         report = self.make()
         table = report.format_table(max_rows=1)
         assert "1 more rows" in table
+
+    def test_zero_max_rows_renders_only_the_elision(self):
+        assert self.make().format_table(max_rows=0) == "... (2 more rows)"
+
+    def test_negative_max_rows_rejected(self):
+        with pytest.raises(ValueError, match="max_rows"):
+            self.make().format_table(max_rows=-1)
+
+    def test_perf_block_reads_the_scope_registry(self):
+        with telemetry.scope("s") as sc:
+            telemetry.inc("scene.tracer_calls", 1)
+            telemetry.inc("scene.cache.hits", 3)
+            telemetry.inc("scene.cache.misses", 1)
+            telemetry.inc("kernel.batches", 2)
+            telemetry.inc("kernel.angles", 10)
+        report = self.make()
+        report.attach_telemetry(sc)
+        assert report.perf == {
+            "tracer_calls": 1,
+            "cache_hits": 3,
+            "cache_misses": 1,
+            "cache_invalidations": 0,
+            "kernel_batches": 2,
+            "kernel_angles": 10,
+            "link_sweeps": 0,
+            "cache_hit_rate": 0.75,
+            "mean_kernel_batch": 5.0,
+        }
+        assert list(report.perf)[-2:] == ["cache_hit_rate", "mean_kernel_batch"]
 
     def test_empty_table(self):
         report = ExperimentReport(experiment_id="t", title="T")

@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments import (
     run_ablation_deployment,
+    run_apartment,
+    run_latency_budget,
     run_prediction_horizon,
     run_search_airtime,
 )
@@ -80,3 +82,17 @@ class TestAblationCodebook:
 
         with pytest.raises(ValueError):
             run_ablation_codebook(max_scalloping_db=0.0)
+
+
+class TestApartment:
+    def test_all_shape_checks_pass(self):
+        assert_all_checks_pass(run_apartment(seed=2016))
+
+
+class TestLatencyBudget:
+    def test_all_shape_checks_pass(self):
+        assert_all_checks_pass(run_latency_budget(frames_per_point=400, seed=2016))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            run_latency_budget(frames_per_point=5)

@@ -3,8 +3,8 @@
 Covers the regression the scope redesign exists for: experiments used
 to share one process-wide counter singleton, so invoking one
 experiment from inside another (or from a test that was itself
-measuring) silently zeroed the caller's numbers via
-``COUNTERS.reset()``.  Scoped telemetry makes that composition safe.
+measuring) silently zeroed the caller's numbers by resetting that
+singleton.  Scoped telemetry makes that composition safe.
 """
 
 import math

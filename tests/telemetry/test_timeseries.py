@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.telemetry.timeseries import DEFAULT_MAX_POINTS, TimeSeries
+from repro.telemetry.timeseries import TimeSeries
 
 finite_values = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
