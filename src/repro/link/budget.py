@@ -122,21 +122,21 @@ class LinkBudget:
 
         Returns shape ``(P,) + broadcast(tx_steer, rx_steer).shape``;
         ``axis=0`` holds the paths.  The per-path channel gain is
-        computed once and the antenna kernels evaluate every steering
-        in one vectorized call each.
+        computed once, in path order, and each side's antenna kernel
+        evaluates every (path, steering) pair in one vectorized call:
+        the path angles are shaped ``(P, 1, ...)`` against the grid.
         """
         tx_steer = np.asarray(tx_steer_deg, dtype=float)
         rx_steer = np.asarray(rx_steer_deg, dtype=float)
         shape = np.broadcast(tx_steer, rx_steer).shape
         const = tx.config.tx_power_dbm - tx.config.implementation_loss_db
-        powers = np.empty((len(paths),) + shape, dtype=float)
-        for i, path in enumerate(paths):
-            tx_gain = tx.array.gain_dbi_batch(path.departure_angle_deg, tx_steer)
-            rx_gain = rx.array.gain_dbi_batch(path.arrival_angle_deg, rx_steer)
-            powers[i] = np.broadcast_to(
-                const + self.channel.path_gain_db(path) + tx_gain + rx_gain, shape
-            )
-        return powers
+        per_path = (len(paths),) + (1,) * len(shape)
+        channel_db = np.array([self.channel.path_gain_db(p) for p in paths])
+        departures = np.array([p.departure_angle_deg for p in paths])
+        arrivals = np.array([p.arrival_angle_deg for p in paths])
+        tx_gain = tx.array.gain_dbi_batch(departures.reshape(per_path), tx_steer)
+        rx_gain = rx.array.gain_dbi_batch(arrivals.reshape(per_path), rx_steer)
+        return const + channel_db.reshape(per_path) + tx_gain + rx_gain
 
     def sweep(
         self,

@@ -10,15 +10,17 @@ The histogram keeps a *bounded* reservoir of raw samples.  Quantile
 estimates are exact (they match ``numpy.percentile`` on the raw
 stream) until the stream outgrows ``max_samples``; beyond that the
 reservoir is decimated to every ``stride``-th observation, which keeps
-memory constant while preserving the stream's coverage in time.
-``merge`` is a pure function (neither operand is mutated) and is
-associative: exact aggregates combine exactly and reservoirs
-concatenate.
+memory constant while preserving the stream's coverage in time.  The
+reservoir is an ``array("d")`` (8 bytes per sample).  ``merge`` is a
+pure function (neither operand is mutated): exact aggregates combine
+exactly, and the reservoirs concatenate and are re-decimated by the
+same rule until they fit, so scope folding stays bounded too.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List
 
 import numpy as np
@@ -97,7 +99,7 @@ class Histogram:
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._stride = 1
         self._phase = 0
 
@@ -161,9 +163,10 @@ class Histogram:
     def merge(self, other: "Histogram") -> "Histogram":
         """Combine two histograms into a new one (pure, associative).
 
-        Exact aggregates add exactly; reservoirs concatenate (the
-        merged reservoir may exceed ``max_samples`` — merges are rare
-        and bounded by the number of scopes, unlike recording).
+        Exact aggregates stay exact.  Reservoirs concatenate, then are
+        halved (every other sample kept, doubling the stride) until
+        they fit in ``max_samples``; so the retained samples are
+        associative only while the combined count fits.
         """
         out = Histogram(self.name, max_samples=max(self.max_samples, other.max_samples))
         out.count = self.count + other.count
@@ -172,6 +175,9 @@ class Histogram:
         out.maximum = max(self.maximum, other.maximum)
         out._samples = self._samples + other._samples
         out._stride = max(self._stride, other._stride)
+        while len(out._samples) > out.max_samples:
+            out._samples = out._samples[::2]
+            out._stride *= 2
         out._phase = 0
         return out
 

@@ -17,23 +17,27 @@ Design constraints, mirroring :class:`~repro.telemetry.instruments.Histogram`:
   timestamp moves *backwards* re-opens the gate: experiments that run
   several sessions in one scope restart their clocks at zero.
 * **Bounded memory with deterministic decimation** — the buffer keeps
-  at most ``max_points`` retained samples.  When it fills, every other
-  retained sample is dropped and recording switches to every
-  ``stride``-th accepted sample.  The decimation pattern depends only
-  on the arrival sequence, never on wall time or randomness, so equal
-  runs produce equal series.
+  at most ``max_points`` retained samples, in two ``array("d")``
+  columns (8 bytes per value).  When it fills, every other retained
+  sample is dropped and recording switches to every ``stride``-th
+  accepted sample.  The decimation pattern depends only on the arrival
+  sequence, never on wall time or randomness, so equal runs produce
+  equal series.
 * **Exact aggregates** — ``count``/``total``/``minimum``/``maximum``
   cover every *accepted* sample regardless of decimation, so min/max
   (and the mean) survive decimation exactly; quantiles and windowed
   fractions are computed over the retained reservoir.
-* **Pure, associative merge** — scope folding concatenates retained
-  samples and adds aggregates, so a child scope's timeline lands in
-  the parent untouched.
+* **Pure, bounded merge** — scope folding adds aggregates exactly and
+  concatenates retained samples, then halves them by the same
+  every-other rule until they fit in ``max_points``.  A child scope's
+  timeline lands in the parent untouched while the combined count
+  fits; the retained samples are associative only in that case.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 #: Default retained-sample capacity per series.
@@ -83,8 +87,8 @@ class TimeSeries:
         self.maximum = -math.inf
         self.first_t_s: Optional[float] = None
         self.last_t_s: Optional[float] = None
-        self._times: List[float] = []
-        self._values: List[float] = []
+        self._times = array("d")
+        self._values = array("d")
         self._stride = 1
         self._phase = 0
         self._gate_t: Optional[float] = None
@@ -169,10 +173,11 @@ class TimeSeries:
     def merge(self, other: "TimeSeries") -> "TimeSeries":
         """Combine two series into a new one (pure, associative).
 
-        Retained samples concatenate (the reservoir may temporarily
-        exceed ``max_points`` — merges happen once per scope exit, not
-        per sample); exact aggregates add exactly.  The cadence gate
-        resets: a merged series is a finished timeline, not a live
+        Exact aggregates stay exact.  Retained samples concatenate,
+        then are halved (every other sample kept, doubling the stride)
+        until they fit in ``max_points``; so the retained samples are
+        associative only while the combined count fits.  The cadence
+        gate resets: a merged series is a finished timeline, not a live
         sampling target.
         """
         out = TimeSeries(
@@ -191,6 +196,10 @@ class TimeSeries:
         out._times = self._times + other._times
         out._values = self._values + other._values
         out._stride = max(self._stride, other._stride)
+        while len(out._times) > out.max_points:
+            out._times = out._times[::2]
+            out._values = out._values[::2]
+            out._stride *= 2
         out._phase = 0
         return out
 

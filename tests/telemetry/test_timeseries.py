@@ -153,6 +153,49 @@ class TestMerge:
         assert a.count == 1 and b.count == 1
 
 
+def fold_scopes(num_scopes=50, per_scope=2048):
+    """Fold ``num_scopes`` child scopes of ``per_scope`` samples each
+    into one parent; return the parent's series and histogram."""
+    with telemetry.scope("parent") as parent:
+        for s in range(num_scopes):
+            with telemetry.scope(f"child{s}"):
+                for i in range(per_scope):
+                    # Integer values keep every total exact in float.
+                    value = float((s * 7 + i) % 101)
+                    telemetry.sample("x", (s * per_scope + i) * 0.01, value)
+                    telemetry.observe("h", value)
+    return parent.registry.get_series("x"), parent.registry.histogram("h")
+
+
+class TestBoundedMerge:
+    def test_folding_many_scopes_stays_within_capacity(self):
+        series, hist = fold_scopes()
+        values = [float((s * 7 + i) % 101) for s in range(50) for i in range(2048)]
+        assert series.retained <= series.max_points
+        assert len(hist.samples) <= hist.max_samples
+        for agg in (series, hist):
+            assert agg.count == len(values)
+            assert agg.total == sum(values)
+            assert agg.minimum == min(values)
+            assert agg.maximum == max(values)
+        assert series.first_t_s == 0.0
+        assert series.last_t_s == (50 * 2048 - 1) * 0.01
+
+        again_series, again_hist = fold_scopes()
+        assert again_series.points() == series.points()
+        assert again_hist.samples == hist.samples
+
+    def test_merge_over_capacity_halves_deterministically(self):
+        a, b = TimeSeries("s", max_points=8), TimeSeries("s", max_points=8)
+        for i in range(6):
+            a.sample(float(i), float(i))
+            b.sample(float(i + 6), float(i + 6))
+        merged = a.merge(b)
+        assert merged.retained == 6
+        assert merged.points() == [(float(i), float(i)) for i in range(0, 12, 2)]
+        assert merged.count == 12
+
+
 class TestScopeIntegration:
     def test_sample_helper_records_in_active_scope(self):
         with telemetry.scope("t") as sc:
