@@ -16,15 +16,21 @@ mmWave beam training.  Instead the AP measures for it:
    the AP-to-reflector alignment.  The reflector-to-headset angle is
    found analogously with the headset measuring.
 
-Two fidelity levels are provided and verified against each other in
-the test suite:
+Every probe and sweep goes through one broadcast kernel per protocol:
+:meth:`BackscatterAngleSearch.measure_sideband_dbm` evaluates a whole
+``(AP angle, reflector angle)`` grid in one call and never re-steers
+the reflector.  The noise-free sideband amplitude is a broadcast
+product of an AP factor and a reflector factor, and the measurement
+noise is drawn per probe at one of two fidelity levels:
 
-* ``signal_level=True`` — synthesizes the actual complex-baseband
-  capture (leakage line + OOK sidebands + noise) and measures band
-  power with an FFT, exactly as the AP's hardware would;
-* ``signal_level=False`` — draws the band-power estimate from its
-  analytic distribution (non-central chi-square), hundreds of times
-  faster, used for the 100-run Fig. 8 experiment and parameter sweeps.
+* ``signal_level=False`` (default) — the band-power estimate comes
+  from its analytic distribution (non-central chi-square), one noise
+  pair per probe; used by the 100-run Fig. 8 experiment and the
+  parameter sweeps;
+* ``signal_level=True`` — each probe synthesizes the actual
+  complex-baseband capture (leakage line + OOK sidebands + noise) and
+  measures band power with an FFT, exactly as the AP's hardware would,
+  one capture per probe in grid (C) order.
 """
 
 from __future__ import annotations
@@ -40,16 +46,30 @@ from repro import telemetry
 from repro.core.reflector import MoVRReflector
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.vectors import bearing_deg
-from repro.link.beams import Codebook, exhaustive_joint_sweep
+from repro.link.beams import Codebook, MetricFn, SweepResult, exhaustive_joint_sweep
 from repro.link.radios import Radio
 from repro.phy.channel import MmWaveChannel
 from repro.phy.signals import ToneProbe, add_awgn, band_power, ook_modulate, tone
 from repro.utils.rng import RngLike, make_rng
-from repro.utils.units import thermal_noise_dbm
+from repro.utils.units import angle_difference_deg, thermal_noise_dbm
 
 #: Fraction of a tone's power landing in EACH first-order OOK sideband
 #: for a 50% duty square-wave gate: |c1|^2 with c1 = 1/pi.
 OOK_SIDEBAND_FRACTION = 1.0 / math.pi**2
+
+
+def _noisy_band_power_dbm(
+    rng: np.random.Generator, amplitude: np.ndarray, noise_dbm: float
+) -> np.ndarray:
+    """Band-power estimates of tones of the given amplitudes in noise.
+
+    ``|A e^{j phi} + CN(0, P_n)|^2`` — the non-central chi-square the
+    FFT-bin estimator obeys.  One noise pair is drawn per probe.
+    """
+    p_noise = 10.0 ** (noise_dbm / 10.0)
+    noise = rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + amplitude.shape)
+    estimate = (amplitude + noise[0]) ** 2 + noise[1] ** 2
+    return 10.0 * np.log10(np.maximum(estimate, 1e-30))
 
 
 @dataclass(frozen=True)
@@ -67,13 +87,30 @@ class AngleSearchResult:
     def reflector_error_deg(self) -> Optional[float]:
         if self.ground_truth_reflector_deg is None:
             return None
-        return abs(self.reflector_angle_deg - self.ground_truth_reflector_deg)
+        return abs(
+            angle_difference_deg(self.reflector_angle_deg, self.ground_truth_reflector_deg)
+        )
 
     @property
     def ap_error_deg(self) -> Optional[float]:
         if self.ground_truth_ap_deg is None:
             return None
-        return abs(self.ap_angle_deg - self.ground_truth_ap_deg)
+        return abs(angle_difference_deg(self.ap_angle_deg, self.ground_truth_ap_deg))
+
+
+def _traced_sweep(
+    tx_codebook: Codebook, rx_codebook: Codebook, metric: MetricFn, **attrs
+) -> SweepResult:
+    """One joint sweep under the ``angle_search.sweep`` span and metrics."""
+    with telemetry.span("angle_search.sweep", **attrs) as sp:
+        started = time.perf_counter()
+        sweep = exhaustive_joint_sweep(tx_codebook, rx_codebook, metric)
+        sp.attrs["probes"] = sweep.num_probes
+        telemetry.observe(
+            "angle_search.sweep_ms", (time.perf_counter() - started) * 1000.0
+        )
+        telemetry.inc("angle_search.probes", sweep.num_probes)
+    return sweep
 
 
 class BackscatterAngleSearch:
@@ -107,49 +144,24 @@ class BackscatterAngleSearch:
     # Probe physics
     # ------------------------------------------------------------------
 
-    def round_trip_power_dbm(self, ap_steer_deg: float, reflector_proto_deg: float) -> float:
-        """Received power of the AP -> reflector -> AP echo (pre-OOK).
+    def sideband_amplitude(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
+        """Noise-free amplitude (sqrt mW) of the echo's sideband at the AP.
 
-        Both reflector beams sit at the same trial angle, so the
+        Both reflector beams sit at the trial prototype angle, so the
         captured signal is re-emitted back along the receive direction;
-        both AP beams sit at ``ap_steer_deg``.
-        """
-        refl_azimuth = self.reflector.prototype_to_azimuth(reflector_proto_deg)
-        self.reflector.set_beams(refl_azimuth, refl_azimuth)
-        self.reflector.amplifier.set_gain_db(self.search_gain_db)
-        one_way_gain = self.channel.path_gain_db(self._path)
-        ap_gain = self.ap.tx_gain_dbi(
-            self._bearing_ap_to_refl, steer_override_deg=ap_steer_deg
-        )
-        through = self.reflector.through_gain_db(
-            self._bearing_refl_to_ap, self._bearing_refl_to_ap
-        )
-        if through is None:
-            # Unstable at the search gain: the echo is garbage; model
-            # as saturated broadband output, which the sideband filter
-            # mostly rejects — return a weak echo.
-            through = 0.0
-        return (
-            self.ap.config.tx_power_dbm
-            + 2.0 * ap_gain
-            + 2.0 * one_way_gain
-            + through
-            - self.ap.config.implementation_loss_db
-        )
-
-    def round_trip_power_dbm_batch(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
-        """Vectorized :meth:`round_trip_power_dbm` over broadcast grids.
-
-        The reflector's beam state is not mutated; trial steerings go
-        through the same scan clipping and quantization as
-        ``set_beams`` via the state-free batch kernels.
+        both AP beams sit at ``ap_steer_deg``.  The two arguments
+        broadcast against each other.  Trial steerings go through the
+        arrays' scan clipping and quantization, but the reflector's
+        beams are never set.  The echo power separates into an AP term
+        and a reflector term, so the amplitude is their broadcast
+        product: the dB-to-linear work is O(A + R), not O(A * R).
         """
         self.reflector.amplifier.set_gain_db(self.search_gain_db)
-        proto = np.asarray(reflector_proto_deg, dtype=float)
-        refl_azimuth = self.reflector.prototype_to_azimuth(proto)
-        one_way_gain = self.channel.path_gain_db(self._path)
         ap_gain = self.ap.array.gain_dbi_batch(
             self._bearing_ap_to_refl, np.asarray(ap_steer_deg, dtype=float)
+        )
+        refl_azimuth = self.reflector.prototype_to_azimuth(
+            np.asarray(reflector_proto_deg, dtype=float)
         )
         through = self.reflector.through_gain_db_batch(
             self._bearing_refl_to_ap,
@@ -157,15 +169,17 @@ class BackscatterAngleSearch:
             rx_steer_azimuth_deg=refl_azimuth,
             tx_steer_azimuth_deg=refl_azimuth,
         )
-        # NaN marks an unstable loop: same weak-echo model as the
-        # scalar probe.
+        # NaN marks an unstable loop: the saturated broadband output is
+        # mostly rejected by the sideband filter — model a weak echo.
         through = np.where(np.isnan(through), 0.0, through)
-        return (
+        const = (
             self.ap.config.tx_power_dbm
-            + 2.0 * ap_gain
-            + 2.0 * one_way_gain
-            + through
+            + 2.0 * self.channel.path_gain_db(self._path)
             - self.ap.config.implementation_loss_db
+            + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
+        )
+        return 10.0 ** (const / 20.0) * (
+            10.0 ** (ap_gain / 10.0) * 10.0 ** (through / 20.0)
         )
 
     def _noise_in_band_dbm(self) -> float:
@@ -175,46 +189,29 @@ class BackscatterAngleSearch:
             + self.ap.config.noise_figure_db
         )
 
-    def measure_sideband_dbm(
-        self, ap_steer_deg: float, reflector_proto_deg: float
-    ) -> float:
-        """One probe: sideband power at ``f1 + f2`` as the AP sees it."""
-        echo_dbm = self.round_trip_power_dbm(ap_steer_deg, reflector_proto_deg)
-        sideband_dbm = echo_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        noise_dbm = self._noise_in_band_dbm()
-        if self.signal_level:
-            return self._measure_signal_level(echo_dbm, noise_dbm)
-        # Analytic shortcut: |sqrt(P_s) e^{j phi} + CN(0, P_n)|^2 —
-        # the same non-central chi-square the FFT-bin estimator obeys.
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (noise_dbm / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), 2)
-        estimate = (math.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * math.log10(max(estimate, 1e-30))
+    def measure_sideband_dbm(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
+        """Probes: sideband power at ``f1 + f2`` as the AP sees it.
 
-    def measure_sideband_dbm_batch(self, ap_steer_deg, reflector_proto_deg) -> np.ndarray:
-        """Whole probe grids at once (analytic noise model only).
-
-        One noise pair is drawn per probe, exactly as the sequential
-        protocol does, so every entry follows the same non-central
-        chi-square distribution as :meth:`measure_sideband_dbm`.
+        One probe per entry of the broadcast steering grids; the
+        reflector's beams are left as they are.  The analytic model
+        draws one noise pair per probe; ``signal_level`` synthesizes
+        and FFT-filters one capture per probe, in C order.
         """
-        echo_dbm = self.round_trip_power_dbm_batch(ap_steer_deg, reflector_proto_deg)
-        sideband_dbm = echo_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (self._noise_in_band_dbm() / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + p_signal.shape)
-        estimate = (np.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * np.log10(np.maximum(estimate, 1e-30))
+        amplitude = self.sideband_amplitude(ap_steer_deg, reflector_proto_deg)
+        noise_dbm = self._noise_in_band_dbm()
+        if not self.signal_level:
+            return _noisy_band_power_dbm(self._rng, amplitude, noise_dbm)
+        echo_amplitude = amplitude / math.sqrt(OOK_SIDEBAND_FRACTION)
+        captures = [self._measure_capture(a, noise_dbm) for a in echo_amplitude.flat]
+        return np.reshape(captures, echo_amplitude.shape)
 
-    def _measure_signal_level(self, echo_dbm: float, noise_in_band_dbm: float) -> float:
+    def _measure_capture(self, echo_amplitude: float, noise_in_band_dbm: float) -> float:
         """Full DSP probe: synthesize the capture and FFT-filter it."""
         probe = self.probe
         # Reference scale: unit-power corresponds to 0 dBm.
         carrier = tone(probe.tone_hz, probe.sample_rate_hz, probe.num_samples)
-        echo_amp = 10.0 ** (echo_dbm / 20.0)
         echo = ook_modulate(
-            carrier * echo_amp, probe.switch_hz, probe.sample_rate_hz
+            carrier * echo_amplitude, probe.switch_hz, probe.sample_rate_hz
         )
         # The AP's own TX->RX leakage: vastly stronger than the echo,
         # but parked at f1 where the filter ignores it.
@@ -254,26 +251,13 @@ class BackscatterAngleSearch:
             self.ap.boresight_deg - scan, self.ap.boresight_deg + scan, ap_step_deg
         )
 
-        with telemetry.span(
-            "angle_search.sweep", protocol="backscatter", signal_level=self.signal_level
-        ) as sp:
-            started = time.perf_counter()
-            if self.signal_level:
-                # The DSP probe synthesizes one capture at a time.
-                sweep = exhaustive_joint_sweep(
-                    ap_codebook, refl_codebook, self.measure_sideband_dbm
-                )
-            else:
-                sweep = exhaustive_joint_sweep(
-                    ap_codebook,
-                    refl_codebook,
-                    batch_metric=self.measure_sideband_dbm_batch,
-                )
-            sp.attrs["probes"] = sweep.num_probes
-            telemetry.observe(
-                "angle_search.sweep_ms", (time.perf_counter() - started) * 1000.0
-            )
-            telemetry.inc("angle_search.probes", sweep.num_probes)
+        sweep = _traced_sweep(
+            ap_codebook,
+            refl_codebook,
+            self.measure_sideband_dbm,
+            protocol="backscatter",
+            signal_level=self.signal_level,
+        )
         truth_refl = self.reflector.azimuth_to_prototype(self._bearing_refl_to_ap)
         truth_ap = self._bearing_ap_to_refl
         return AngleSearchResult(
@@ -283,78 +267,6 @@ class BackscatterAngleSearch:
             num_probes=sweep.num_probes,
             ground_truth_reflector_deg=truth_refl,
             ground_truth_ap_deg=truth_ap,
-        )
-
-    def estimate_incidence_angle_fast(
-        self,
-        reflector_step_deg: float = 1.0,
-        ap_step_deg: float = 1.0,
-    ) -> AngleSearchResult:
-        """Vectorized variant of :meth:`estimate_incidence_angle`.
-
-        Exploits the fact that the deterministic part of the echo power
-        separates into an AP-angle term and a reflector-angle term, so
-        the whole probe grid can be generated at once; the per-probe
-        measurement noise keeps the exact non-central chi-square
-        statistics of the sequential protocol.  Used by the 100-run
-        Fig. 8 experiment; tests verify it matches the reference
-        implementation probe-for-probe in distribution.
-        """
-        with telemetry.span(
-            "angle_search.sweep", protocol="backscatter-fast", signal_level=False
-        ) as sp:
-            started = time.perf_counter()
-            refl_angles = np.arange(
-                40.0, 140.0 + reflector_step_deg / 2.0, reflector_step_deg
-            )
-            scan = self.ap.config.array.max_scan_deg
-            ap_angles = np.arange(
-                self.ap.boresight_deg - scan,
-                self.ap.boresight_deg + scan + ap_step_deg / 2.0,
-                ap_step_deg,
-            )
-            ap_gain = self.ap.array.gain_dbi_batch(self._bearing_ap_to_refl, ap_angles)
-            self.reflector.amplifier.set_gain_db(self.search_gain_db)
-            refl_azimuths = self.reflector.prototype_to_azimuth(refl_angles)
-            through = self.reflector.through_gain_db_batch(
-                self._bearing_refl_to_ap,
-                self._bearing_refl_to_ap,
-                rx_steer_azimuth_deg=refl_azimuths,
-                tx_steer_azimuth_deg=refl_azimuths,
-            )
-            through = np.where(np.isnan(through), 0.0, through)
-            one_way = self.channel.path_gain_db(self._path)
-            const = (
-                self.ap.config.tx_power_dbm
-                + 2.0 * one_way
-                - self.ap.config.implementation_loss_db
-                + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-            )
-            # The sideband power separates into an AP term and a reflector
-            # term, so its amplitude grid is an outer product of two short
-            # vectors — no dB->linear conversion of the full grid needed.
-            amplitude = 10.0 ** (const / 20.0) * np.outer(
-                10.0 ** (ap_gain / 10.0), 10.0 ** (through / 20.0)
-            )
-            p_noise = 10.0 ** (self._noise_in_band_dbm() / 10.0)
-            noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + amplitude.shape)
-            estimate = (amplitude + noise[0]) ** 2 + noise[1] ** 2
-            flat = int(np.argmax(estimate))
-            i, j = np.unravel_index(flat, estimate.shape)
-            sp.attrs["probes"] = int(estimate.size)
-            telemetry.observe(
-                "angle_search.sweep_ms", (time.perf_counter() - started) * 1000.0
-            )
-            telemetry.inc("angle_search.probes", int(estimate.size))
-        return AngleSearchResult(
-            reflector_angle_deg=float(refl_angles[j]),
-            ap_angle_deg=float(ap_angles[i]),
-            peak_sideband_dbm=float(10.0 * np.log10(estimate[i, j])),
-            num_probes=int(estimate.size),
-            ground_truth_reflector_deg=self.reflector.azimuth_to_prototype(
-                self._bearing_refl_to_ap
-            ),
-            ground_truth_ap_deg=self._bearing_ap_to_refl,
         )
 
 
@@ -398,47 +310,13 @@ class ReflectionAngleSearch:
         )
 
     def sideband_at_headset_dbm(
-        self, reflector_tx_proto_deg: float, headset_steer_deg: float
-    ) -> float:
-        """One probe of the outgoing-beam sweep."""
-        tx_azimuth = self.reflector.prototype_to_azimuth(reflector_tx_proto_deg)
-        self.reflector.set_beams(self._bearing_refl_to_ap, tx_azimuth)
-        self.reflector.amplifier.set_gain_db(self.search_gain_db)
-        through = self.reflector.through_gain_db(
-            self._bearing_refl_to_ap, self._bearing_refl_to_hs
-        )
-        if through is None:
-            through = 0.0
-        ap_gain = self.ap.tx_gain_dbi(
-            bearing_deg(self.ap.position, self.reflector.position)
-        )
-        hs_gain = self.headset_radio.rx_gain_dbi(
-            self._bearing_hs_to_refl, steer_override_deg=headset_steer_deg
-        )
-        power_dbm = (
-            self.ap.config.tx_power_dbm
-            + ap_gain
-            + self.channel.path_gain_db(self._feed_path)
-            + through
-            + self.channel.path_gain_db(self._out_path)
-            + hs_gain
-            - self.ap.config.implementation_loss_db
-        )
-        sideband_dbm = power_dbm + 10.0 * math.log10(OOK_SIDEBAND_FRACTION)
-        noise_dbm = (
-            thermal_noise_dbm(self.probe.measurement_bw_hz)
-            + self.headset_radio.config.noise_figure_db
-        )
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (noise_dbm / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), 2)
-        estimate = (math.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * math.log10(max(estimate, 1e-30))
-
-    def sideband_at_headset_dbm_batch(
         self, reflector_tx_proto_deg, headset_steer_deg
     ) -> np.ndarray:
-        """Vectorized :meth:`sideband_at_headset_dbm` over broadcast grids."""
+        """Probes of the outgoing-beam sweep over broadcast grids.
+
+        One probe per entry; the reflector's beams are left as they
+        are (trial steerings go through the state-free batch kernels).
+        """
         self.reflector.amplifier.set_gain_db(self.search_gain_db)
         tx_azimuth = self.reflector.prototype_to_azimuth(
             np.asarray(reflector_tx_proto_deg, dtype=float)
@@ -470,11 +348,8 @@ class ReflectionAngleSearch:
             thermal_noise_dbm(self.probe.measurement_bw_hz)
             + self.headset_radio.config.noise_figure_db
         )
-        p_signal = 10.0 ** (sideband_dbm / 10.0)
-        p_noise = 10.0 ** (noise_dbm / 10.0)
-        noise = self._rng.normal(0.0, math.sqrt(p_noise / 2.0), (2,) + p_signal.shape)
-        estimate = (np.sqrt(p_signal) + noise[0]) ** 2 + noise[1] ** 2
-        return 10.0 * np.log10(np.maximum(estimate, 1e-30))
+        amplitude = np.sqrt(10.0 ** (sideband_dbm / 10.0))
+        return _noisy_band_power_dbm(self._rng, amplitude, noise_dbm)
 
     def estimate_reflection_angle(
         self,
@@ -490,19 +365,10 @@ class ReflectionAngleSearch:
             headset_step_deg,
         )
 
-        def batch_metric(hs_deg: np.ndarray, refl_deg: np.ndarray) -> np.ndarray:
-            return self.sideband_at_headset_dbm_batch(refl_deg, hs_deg)
+        def metric(hs_deg: np.ndarray, refl_deg: np.ndarray) -> np.ndarray:
+            return self.sideband_at_headset_dbm(refl_deg, hs_deg)
 
-        with telemetry.span("angle_search.sweep", protocol="reflection") as sp:
-            started = time.perf_counter()
-            sweep = exhaustive_joint_sweep(
-                hs_codebook, refl_codebook, batch_metric=batch_metric
-            )
-            sp.attrs["probes"] = sweep.num_probes
-            telemetry.observe(
-                "angle_search.sweep_ms", (time.perf_counter() - started) * 1000.0
-            )
-            telemetry.inc("angle_search.probes", sweep.num_probes)
+        sweep = _traced_sweep(hs_codebook, refl_codebook, metric, protocol="reflection")
         truth_refl = self.reflector.azimuth_to_prototype(self._bearing_refl_to_hs)
         return AngleSearchResult(
             reflector_angle_deg=sweep.best_rx_deg,

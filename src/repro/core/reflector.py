@@ -250,24 +250,6 @@ class MoVRReflector:
 
     # -- relay gain (for the link budget) ------------------------------------
 
-    def through_gain_db(
-        self,
-        from_azimuth_deg: float,
-        to_azimuth_deg: float,
-    ) -> Optional[float]:
-        """End-to-end power gain of the reflector between two directions.
-
-        RX-array gain toward the incoming signal, plus the closed-loop
-        amplifier gain, plus TX-array gain toward the outgoing
-        direction.  ``None`` when the loop is unstable.
-        """
-        effective = self.effective_gain_db()
-        if effective is None:
-            return None
-        rx_gain = self.rx_array.gain_dbi(from_azimuth_deg)
-        tx_gain = self.tx_array.gain_dbi(to_azimuth_deg)
-        return rx_gain + effective + tx_gain
-
     def through_gain_db_batch(
         self,
         from_azimuth_deg,
@@ -275,14 +257,16 @@ class MoVRReflector:
         rx_steer_azimuth_deg=None,
         tx_steer_azimuth_deg=None,
     ) -> np.ndarray:
-        """Vectorized :meth:`through_gain_db` over trial beam settings.
+        """End-to-end power gain of the reflector between two directions.
 
-        ``rx_steer_azimuth_deg``/``tx_steer_azimuth_deg`` default to the
-        current beam state; passing arrays sweeps candidate steerings
-        without mutating the reflector (the batched equivalent of
-        set-beams-then-measure loops).  Entries whose leakage would make
-        the loop unstable come back as ``NaN`` — callers decide what an
-        oscillating probe is worth.
+        RX-array gain toward the incoming signal, plus the closed-loop
+        amplifier gain, plus TX-array gain toward the outgoing
+        direction, over broadcast grids of directions and trial beam
+        settings.  ``rx_steer_azimuth_deg``/``tx_steer_azimuth_deg``
+        default to the current beam state; passing arrays sweeps
+        candidate steerings without mutating the reflector.  Entries
+        whose leakage would make the loop unstable come back as ``NaN``
+        — callers decide what an oscillating probe is worth.
         """
         if rx_steer_azimuth_deg is None:
             rx_steer_azimuth_deg = self.rx_array.steering_deg

@@ -7,8 +7,9 @@ alignment task (same physics as Fig. 8):
 
 * **exhaustive-1deg** — the paper's joint sweep at 1 degree steps;
 * **exhaustive-3deg** — coarser joint sweep;
-* **hierarchical** — coarse 10 degree joint sweep, then a local
-  1 degree refinement around the winner.
+* **hierarchical** — coarse 10 degree joint sweep, then a +/-6 degree
+  refinement around the winner (2 degree AP steps, 1 degree reflector
+  steps) through :func:`repro.link.beams.hierarchical_joint_sweep`.
 
 Metrics: probe count, implied sweep latency, and alignment error.
 """
@@ -27,7 +28,12 @@ from repro.experiments.harness import ExperimentReport, scoped_run
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2
-from repro.link.beams import DEFAULT_PROBE_TIME_S, Codebook, exhaustive_joint_sweep
+from repro.link.beams import (
+    DEFAULT_PROBE_TIME_S,
+    Codebook,
+    exhaustive_joint_sweep,
+    hierarchical_joint_sweep,
+)
 from repro.link.radios import DEFAULT_RADIO_CONFIG, Radio
 from repro.phy.channel import MmWaveChannel
 from repro.utils.rng import RngLike, child_rng, make_rng
@@ -62,53 +68,27 @@ def run_ablation_search(
             search._bearing_refl_to_ap
         )
 
-        # Each probe grid is evaluated in one vectorized call; per-probe
-        # noise statistics match the sequential protocol exactly.
-        batch_metric = search.measure_sideband_dbm_batch
-
+        metric = search.measure_sideband_dbm
         scan = ap.config.array.max_scan_deg
-        ap_lo, ap_hi = ap.boresight_deg - scan, ap.boresight_deg + scan
-
+        ap_range = (ap.boresight_deg - scan, ap.boresight_deg + scan)
         for name in strategies:
-            if name == "exhaustive-1deg":
-                sweep = exhaustive_joint_sweep(
-                    Codebook.uniform(ap_lo, ap_hi, 3.0),
-                    Codebook.uniform(40.0, 140.0, 1.0),
-                    batch_metric=batch_metric,
+            if name == "hierarchical":
+                sweep = hierarchical_joint_sweep(
+                    ap_range,
+                    (40.0, 140.0),
+                    metric,
+                    coarse_step_deg=10.0,
+                    fine_step_deg=(2.0, 1.0),
+                    refine_span_deg=12.0,
                 )
-                estimate, count = sweep.best_rx_deg, sweep.num_probes
-            elif name == "exhaustive-3deg":
-                sweep = exhaustive_joint_sweep(
-                    Codebook.uniform(ap_lo, ap_hi, 3.0),
-                    Codebook.uniform(40.0, 140.0, 3.0),
-                    batch_metric=batch_metric,
-                )
-                estimate, count = sweep.best_rx_deg, sweep.num_probes
             else:
-                coarse = exhaustive_joint_sweep(
-                    Codebook.uniform(ap_lo, ap_hi, 10.0),
-                    Codebook.uniform(40.0, 140.0, 10.0),
-                    batch_metric=batch_metric,
+                refl_step = 1.0 if name == "exhaustive-1deg" else 3.0
+                sweep = exhaustive_joint_sweep(
+                    Codebook.uniform(*ap_range, 3.0),
+                    Codebook.uniform(40.0, 140.0, refl_step),
+                    metric,
                 )
-                fine = exhaustive_joint_sweep(
-                    Codebook.uniform(
-                        max(ap_lo, coarse.best_tx_deg - 6.0),
-                        min(ap_hi, coarse.best_tx_deg + 6.0),
-                        2.0,
-                    ),
-                    Codebook.uniform(
-                        max(40.0, coarse.best_rx_deg - 6.0),
-                        min(140.0, coarse.best_rx_deg + 6.0),
-                        1.0,
-                    ),
-                    batch_metric=batch_metric,
-                )
-                estimate = (
-                    fine.best_rx_deg
-                    if fine.best_metric >= coarse.best_metric
-                    else coarse.best_rx_deg
-                )
-                count = coarse.num_probes + fine.num_probes
+            estimate, count = sweep.best_rx_deg, sweep.num_probes
             errors[name].append(abs(estimate - truth))
             probes[name].append(count)
 

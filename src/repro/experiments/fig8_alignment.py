@@ -100,7 +100,7 @@ def run_fig8(
             search_gain_db=search_gain_db,
             rng=run_rng,
         )
-        result = search.estimate_incidence_angle_fast(
+        result = search.estimate_incidence_angle(
             reflector_step_deg=reflector_step_deg, ap_step_deg=ap_step_deg
         )
         error = result.reflector_error_deg

@@ -71,11 +71,15 @@ def run_search_airtime(seed: RngLike = None) -> ExperimentReport:
     coordinator = ReflectorCoordinator(
         reflector, BleLink(rng=child_rng(rng, 1))
     )
+    codebook = Codebook.uniform(40.0, 140.0, 2.0)
     estimate = coordinator.run_angle_search(
         lambda proto: search.measure_sideband_dbm(truth_ap, proto),
-        codebook=Codebook.uniform(40.0, 140.0, 2.0),
+        codebook=codebook,
     )
     install_sweep_s = coordinator.elapsed_s
+    # The probes never steer the reflector; the hardware holds the last beam.
+    last = reflector.prototype_to_azimuth(codebook.angles_deg[-1])
+    reflector.set_beams(last, last)
     coordinator.run_gain_calibration(input_power_dbm=-48.0)
     install_total_s = coordinator.elapsed_s
     truth = reflector.azimuth_to_prototype(search._bearing_refl_to_ap)

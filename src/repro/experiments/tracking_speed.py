@@ -55,7 +55,8 @@ def run_tracking_speed(
 
     pose_cache = {}
 
-    def snr_at(pose_position: Vec2, ap_steer_deg: float) -> float:
+    def snr_at(pose_position: Vec2, ap_steer_deg):
+        """SNR (dB) with the AP beam at each broadcast steering angle."""
         cached = pose_cache.get(pose_position)
         if cached is None:
             headset = Radio(
@@ -68,10 +69,10 @@ def run_tracking_speed(
             pose_cache.clear()  # poses are visited sequentially
             cached = pose_cache[pose_position] = (headset, paths)
         headset, paths = cached
-        m = system.budget.measure_with_paths(
-            ap, headset, paths, ap_steer_deg, headset.steering_deg
+        power_dbm = system.budget.sweep_pairs(
+            ap, headset, ap_steer_deg, headset.steering_deg, paths=paths
         )
-        return m.snr_db
+        return power_dbm - headset.config.noise_floor_dbm
 
     scan = ap.config.array.max_scan_deg
     full_codebook = Codebook.uniform(

@@ -4,7 +4,8 @@ The paper's Opt-NLOS baseline "tries every combination of beam angle
 for both transmitter and receiver antennas, with 1 degree increments"
 (section 3).  This module provides that exhaustive joint sweep, a cheaper
 hierarchical (coarse-to-fine) search, and the cost model (number of
-probes, search latency) used by the ablation benchmarks.
+probes, search latency) used by the ablation benchmarks.  Every sweep
+takes one broadcast metric, called once per angle grid.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class Codebook:
         if stop_deg < start_deg:
             raise ValueError("stop_deg must be >= start_deg")
         count = int(round((stop_deg - start_deg) / step_deg)) + 1
-        return cls(tuple(start_deg + i * step_deg for i in range(count)))
+        # Element-wise start + i * step: the same floats as in Python.
+        return cls(tuple((start_deg + np.arange(count) * step_deg).tolist()))
 
     def nearest(self, angle_deg: float) -> float:
         """The codebook entry closest to ``angle_deg``."""
@@ -73,144 +75,128 @@ class SweepResult:
         return self.num_probes * probe_time_s
 
 
-MetricFn = Callable[[float, float], float]
+#: Broadcast metric: called once with broadcastable (tx, rx) angle
+#: grids, returns the metric for every pair.  NaN entries (e.g. an
+#: unstable reflector probe) are unusable.
+MetricFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-#: Batched metric: called once with broadcastable (tx, rx) angle grids,
-#: returns the metric for every pair.  NaN entries (e.g. an unstable
-#: reflector probe) are treated as unusable, like the scalar form's
-#: ``-inf``.
-BatchMetricFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+def probe_grid(metric: Callable[..., np.ndarray], *angles) -> np.ndarray:
+    """Call ``metric`` once on broadcast angle grids; the result has
+    the grids' broadcast shape (one probe per entry)."""
+    shape = np.broadcast(*angles).shape
+    return np.broadcast_to(np.asarray(metric(*angles), dtype=float), shape)
+
+
+def first_max(values: np.ndarray) -> Tuple[int, float]:
+    """Flat index and value of the first maximum; NaN entries are
+    unusable (``-inf``)."""
+    flat = int(np.argmax(values))
+    if np.isnan(values.flat[flat]):  # argmax stops at the first NaN
+        values = np.where(np.isnan(values), -np.inf, values)
+        flat = int(np.argmax(values))
+    return flat, float(values.flat[flat])
 
 
 def exhaustive_joint_sweep(
     tx_codebook: Codebook,
     rx_codebook: Codebook,
-    metric: Optional[MetricFn] = None,
+    metric: MetricFn,
     keep_map: bool = False,
-    batch_metric: Optional[BatchMetricFn] = None,
 ) -> SweepResult:
     """Try every (tx, rx) angle pair; return the argmax of the metric.
 
     ``metric(tx_deg, rx_deg)`` is typically a measured SNR or, during
-    MoVR's angle search, the reflected sideband power at the AP.  When
-    the caller can evaluate the whole grid at once, ``batch_metric``
-    replaces the per-pair Python loop with one vectorized call — the
-    probe count (the *hardware* cost the search models) is identical.
+    MoVR's angle search, the reflected sideband power at the AP.  It is
+    called once over the ``(T, 1)`` x ``(1, R)`` grid; the probe count
+    (the *hardware* cost the search models) is ``T * R``.  Ties go to
+    the first pair in (tx, rx) order; when every probe is unusable the
+    result is ``(0, 0)`` at ``-inf``.
     """
-    if batch_metric is not None:
-        tx = np.asarray(tx_codebook.angles_deg, dtype=float)
-        rx = np.asarray(rx_codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(tx[:, None], rx[None, :]), dtype=float)
-        values = np.broadcast_to(values, (len(tx), len(rx)))
-        usable = np.where(np.isnan(values), -np.inf, values)
-        i, j = np.unravel_index(int(np.argmax(usable)), usable.shape)
-        best_value = float(usable[i, j])
-        if best_value == -math.inf:
-            # Mirror the scalar loop: nothing ever beat the sentinel.
-            best_tx, best_rx = 0.0, 0.0
-        else:
-            best_tx, best_rx = float(tx[i]), float(rx[j])
-        return SweepResult(
-            best_tx_deg=best_tx,
-            best_rx_deg=best_rx,
-            best_metric=best_value,
-            num_probes=values.size,
-            metric_map=values.copy() if keep_map else None,
-        )
-    if metric is None:
-        raise ValueError("provide either metric or batch_metric")
-    best = (-math.inf, 0.0, 0.0)
-    grid = (
-        np.full((len(tx_codebook), len(rx_codebook)), -math.inf) if keep_map else None
-    )
-    probes = 0
-    for i, tx_deg in enumerate(tx_codebook):
-        for j, rx_deg in enumerate(rx_codebook):
-            value = metric(tx_deg, rx_deg)
-            probes += 1
-            if grid is not None:
-                grid[i, j] = value
-            if value > best[0]:
-                best = (value, tx_deg, rx_deg)
+    tx = np.asarray(tx_codebook.angles_deg, dtype=float)
+    rx = np.asarray(rx_codebook.angles_deg, dtype=float)
+    values = probe_grid(metric, tx[:, None], rx[None, :])
+    flat, best_value = first_max(values)
+    i, j = np.unravel_index(flat, values.shape)
+    if best_value == -math.inf:
+        best_tx, best_rx = 0.0, 0.0
+    else:
+        best_tx, best_rx = float(tx[i]), float(rx[j])
     return SweepResult(
-        best_tx_deg=best[1],
-        best_rx_deg=best[2],
-        best_metric=best[0],
-        num_probes=probes,
-        metric_map=grid,
+        best_tx_deg=best_tx,
+        best_rx_deg=best_rx,
+        best_metric=best_value,
+        num_probes=values.size,
+        metric_map=values.copy() if keep_map else None,
     )
 
 
 def hierarchical_joint_sweep(
-    start_deg: float,
-    stop_deg: float,
-    metric: Optional[MetricFn] = None,
+    tx_range_deg: Tuple[float, float],
+    rx_range_deg: Tuple[float, float],
+    metric: MetricFn,
     coarse_step_deg: float = 10.0,
-    fine_step_deg: float = 1.0,
+    fine_step_deg: Tuple[float, float] = (1.0, 1.0),
     refine_span_deg: float = 12.0,
-    batch_metric: Optional[BatchMetricFn] = None,
 ) -> SweepResult:
     """Coarse-to-fine joint search: sweep a coarse grid, then refine
     around the winner with fine steps.
 
-    Cuts probe count roughly from ``(R/f)^2`` to ``(R/c)^2 + (s/f)^2``
-    at the risk of locking onto a coarse-grid sidelobe; the ablation
-    benchmark quantifies that trade.
+    Each side covers its own ``(start, stop)`` range; ``fine_step_deg``
+    is the (tx, rx) step of the refinement, which spans
+    ``refine_span_deg`` around the coarse winner, clipped to the range.
+    The refined winner is kept when it is at least as good as the
+    coarse one.  Cuts probe count roughly from ``(R/f)^2`` to
+    ``(R/c)^2 + (s/f)^2`` at the risk of locking onto a coarse-grid
+    sidelobe; the ablation benchmark quantifies that trade.
     """
     require_positive(coarse_step_deg, "coarse_step_deg")
-    require_positive(fine_step_deg, "fine_step_deg")
-    if fine_step_deg > coarse_step_deg:
-        raise ValueError("fine step must not exceed coarse step")
-    coarse = Codebook.uniform(start_deg, stop_deg, coarse_step_deg)
-    stage1 = exhaustive_joint_sweep(coarse, coarse, metric, batch_metric=batch_metric)
+    for step in fine_step_deg:
+        require_positive(step, "fine_step_deg")
+        if step > coarse_step_deg:
+            raise ValueError("fine step must not exceed coarse step")
+    stage1 = exhaustive_joint_sweep(
+        Codebook.uniform(*tx_range_deg, coarse_step_deg),
+        Codebook.uniform(*rx_range_deg, coarse_step_deg),
+        metric,
+    )
+    if stage1.best_metric == -math.inf:
+        # Nothing usable to refine around.
+        return stage1
     half = refine_span_deg / 2.0
-    tx_fine = Codebook.uniform(
-        max(start_deg, stage1.best_tx_deg - half),
-        min(stop_deg, stage1.best_tx_deg + half),
-        fine_step_deg,
+
+    def refine(best_deg: float, bounds: Tuple[float, float], step: float) -> Codebook:
+        start, stop = bounds
+        return Codebook.uniform(
+            max(start, best_deg - half), min(stop, best_deg + half), step
+        )
+
+    stage2 = exhaustive_joint_sweep(
+        refine(stage1.best_tx_deg, tx_range_deg, fine_step_deg[0]),
+        refine(stage1.best_rx_deg, rx_range_deg, fine_step_deg[1]),
+        metric,
     )
-    rx_fine = Codebook.uniform(
-        max(start_deg, stage1.best_rx_deg - half),
-        min(stop_deg, stage1.best_rx_deg + half),
-        fine_step_deg,
-    )
-    stage2 = exhaustive_joint_sweep(tx_fine, rx_fine, metric, batch_metric=batch_metric)
-    total = stage1.num_probes + stage2.num_probes
     winner = stage2 if stage2.best_metric >= stage1.best_metric else stage1
     return SweepResult(
         best_tx_deg=winner.best_tx_deg,
         best_rx_deg=winner.best_rx_deg,
         best_metric=winner.best_metric,
-        num_probes=total,
+        num_probes=stage1.num_probes + stage2.num_probes,
     )
 
 
 def single_sided_sweep(
     codebook: Codebook,
-    metric: Optional[Callable[[float], float]] = None,
-    batch_metric: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    metric: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[float, float, int]:
     """Sweep one beam with the other held fixed.
 
     Returns ``(best_angle, best_metric, num_probes)`` — the primitive
     used by pose-assisted tracking, which only needs to refine one
-    side.  ``batch_metric`` evaluates the whole codebook in one
-    vectorized call.
+    side.  ``metric`` is called once over the whole codebook.  Ties go
+    to the first angle; when every probe is unusable the result is the
+    first angle at ``-inf``.
     """
-    if batch_metric is not None:
-        angles = np.asarray(codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(angles), dtype=float)
-        values = np.broadcast_to(values, angles.shape)
-        usable = np.where(np.isnan(values), -np.inf, values)
-        best = int(np.argmax(usable))
-        return float(angles[best]), float(usable[best]), int(angles.size)
-    if metric is None:
-        raise ValueError("provide either metric or batch_metric")
-    best_angle, best_value = codebook.angles_deg[0], -math.inf
-    probes = 0
-    for angle in codebook:
-        value = metric(angle)
-        probes += 1
-        if value > best_value:
-            best_angle, best_value = angle, value
-    return best_angle, best_value, probes
+    angles = np.asarray(codebook.angles_deg, dtype=float)
+    best, value = first_max(probe_grid(metric, angles))
+    return float(angles[best]), value, int(angles.size)

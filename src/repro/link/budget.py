@@ -86,28 +86,6 @@ class LinkBudget:
         self.channel = channel
         self.cache = cache if cache is not None else SceneCache(tracer)
 
-    # ------------------------------------------------------------------
-
-    def path_rx_power_dbm(
-        self,
-        tx: Radio,
-        rx: Radio,
-        path: PropagationPath,
-        tx_steer_deg: Optional[float] = None,
-        rx_steer_deg: Optional[float] = None,
-    ) -> float:
-        """Received power over one path with given (or current) steering."""
-        tx_gain = tx.tx_gain_dbi(path.departure_angle_deg, steer_override_deg=tx_steer_deg)
-        rx_gain = rx.rx_gain_dbi(path.arrival_angle_deg, steer_override_deg=rx_steer_deg)
-        gain = self.channel.path_gain_db(path)
-        return (
-            tx.config.tx_power_dbm
-            + tx_gain
-            + rx_gain
-            + gain
-            - tx.config.implementation_loss_db
-        )
-
     # -- batched evaluation ---------------------------------------------
 
     def path_powers_dbm(

@@ -13,11 +13,10 @@ detection floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from repro.link.beams import BatchMetricFn, Codebook
+from repro.link.beams import Codebook, MetricFn, first_max, probe_grid
 from repro.utils.validation import require_positive
 
 #: An 802.11ad SSW frame takes ~15.8 us on the air (control PHY).
@@ -44,79 +43,48 @@ class SlsResult:
 def sector_level_sweep(
     initiator_codebook: Codebook,
     responder_codebook: Codebook,
-    metric: Optional[Callable[[float, float], float]] = None,
+    metric: MetricFn,
     detection_floor_db: float = 0.0,
-    batch_metric: Optional[BatchMetricFn] = None,
 ) -> SlsResult:
     """Run an SLS exchange.
 
     ``metric(initiator_deg, responder_deg)`` returns the link metric
-    (SNR-like, dB) with both beams set.  During each one-sided phase
+    (SNR-like, dB) with both beams set, over broadcast angle grids;
+    each one-sided phase is one call.  During each one-sided phase
     the other side listens quasi-omni, modeled as the best beam of
     that side minus :data:`QUASI_OMNI_PENALTY_DB`.  Probes whose
     quasi-omni metric falls below ``detection_floor_db`` are missed —
-    the initiator cannot tell that sector was good.  ``batch_metric``
-    evaluates each one-sided phase in a single vectorized call; the
-    frame count (the on-air cost) is unchanged.
+    the initiator cannot tell that sector was good.  NaN probes are
+    unusable; ties go to the first sector.
     """
-    if batch_metric is None and metric is None:
-        raise ValueError("provide either metric or batch_metric")
-    frames = 0
     # Phase 1: initiator sweeps, responder quasi-omni (approximated as
     # the responder's central sector minus the omni penalty).
-    responder_center = responder_codebook.nearest(
-        sum(responder_codebook.angles_deg) / len(responder_codebook)
+    responder_center = _center(responder_codebook)
+    sectors = np.asarray(initiator_codebook.angles_deg, dtype=float)
+    idx, best_metric = first_max(
+        probe_grid(metric, sectors, responder_center) - QUASI_OMNI_PENALTY_DB
     )
-    best_initiator: Optional[float] = None
-    best_metric = float("-inf")
-    if batch_metric is not None:
-        sectors = np.asarray(initiator_codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(sectors, responder_center), dtype=float)
-        values = np.broadcast_to(values, sectors.shape) - QUASI_OMNI_PENALTY_DB
-        usable = np.where(np.isnan(values), -np.inf, values)
-        frames += sectors.size
-        idx = int(np.argmax(usable))
-        if usable[idx] >= detection_floor_db:
-            best_initiator, best_metric = float(sectors[idx]), float(usable[idx])
-    else:
-        for sector in initiator_codebook:
-            frames += 1
-            value = metric(sector, responder_center) - QUASI_OMNI_PENALTY_DB
-            if value >= detection_floor_db and value > best_metric:
-                best_initiator, best_metric = sector, value
-    if best_initiator is None:
-        # Nothing detected: fall back to the codebook center.
-        best_initiator = initiator_codebook.nearest(
-            sum(initiator_codebook.angles_deg) / len(initiator_codebook)
-        )
-        detected = False
-    else:
-        detected = True
+    detected = best_metric >= detection_floor_db
+    # Nothing detected: fall back to the codebook center.
+    best_initiator = float(sectors[idx]) if detected else _center(initiator_codebook)
     # Phase 2: responder sweeps with the initiator's winner fixed.
-    best_responder = responder_center
-    best_metric2 = float("-inf")
-    if batch_metric is not None:
-        sectors = np.asarray(responder_codebook.angles_deg, dtype=float)
-        values = np.asarray(batch_metric(best_initiator, sectors), dtype=float)
-        values = np.broadcast_to(values, sectors.shape)
-        usable = np.where(np.isnan(values), -np.inf, values)
-        frames += sectors.size
-        idx = int(np.argmax(usable))
-        if usable[idx] > best_metric2:
-            best_responder, best_metric2 = float(sectors[idx]), float(usable[idx])
-    else:
-        for sector in responder_codebook:
-            frames += 1
-            value = metric(best_initiator, sector)
-            if value > best_metric2:
-                best_responder, best_metric2 = sector, value
+    responders = np.asarray(responder_codebook.angles_deg, dtype=float)
+    idx, best_metric = first_max(probe_grid(metric, best_initiator, responders))
+    best_responder = (
+        responder_center if best_metric == -np.inf else float(responders[idx])
+    )
     return SlsResult(
         initiator_sector_deg=best_initiator,
         responder_sector_deg=best_responder,
-        best_metric_db=best_metric2,
-        num_frames=frames,
+        best_metric_db=best_metric,
+        num_frames=sectors.size + responders.size,
         detected=detected,
     )
+
+
+def _center(codebook: Codebook) -> float:
+    """The codebook entry nearest its mean angle."""
+    return codebook.nearest(sum(codebook.angles_deg) / len(codebook))
 
 
 def sls_probe_count(initiator_sectors: int, responder_sectors: int) -> int:

@@ -213,10 +213,6 @@ class PhasedArray:
         steer = angle_difference_deg_batch(steer_deg, self.boresight_deg)
         return self._pattern_gain_dbi_batch(theta, steer)
 
-    def gain_dbi_array(self, toward_deg: np.ndarray, steer_deg: float) -> np.ndarray:
-        """Vectorized gain over many target azimuths (scene frame)."""
-        return np.atleast_1d(self.gain_dbi_batch(np.atleast_1d(toward_deg), steer_deg))
-
     def _pattern_gain_dbi(self, theta_deg: float, steer_deg: float) -> float:
         return float(self._pattern_gain_dbi_batch(theta_deg, steer_deg))
 
@@ -299,7 +295,7 @@ class PhasedArray:
         calibration tests.
         """
         azimuths = np.arange(-180.0, 180.0, resolution_deg) + self.boresight_deg
-        gains = self.gain_dbi_array(azimuths, steer_deg)
+        gains = self.gain_dbi_batch(azimuths, steer_deg)
         return np.stack([azimuths, gains], axis=1)
 
 

@@ -48,7 +48,7 @@ def friis_cascade_nf_db(stages: Sequence[tuple]) -> float:
     accepted for uniformity.
 
     >>> round(friis_cascade_nf_db([(3.0, 20.0), (10.0, 10.0)]), 2)
-    3.04
+    3.19
     """
     if not stages:
         raise ValueError("need at least one stage")

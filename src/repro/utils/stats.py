@@ -30,7 +30,7 @@ class EmpiricalCdf:
         """Build a CDF from raw samples.
 
         >>> cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
-        >>> list(cdf.values)
+        >>> cdf.values.tolist()
         [1.0, 2.0, 3.0]
         """
         arr = np.sort(np.asarray(list(samples), dtype=float))

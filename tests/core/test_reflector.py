@@ -144,7 +144,7 @@ class TestThroughGain:
 
         from_az = bearing_deg(reflector.position, ap)
         to_az = bearing_deg(reflector.position, hs)
-        through = reflector.through_gain_db(from_az, to_az)
+        through = reflector.through_gain_db_batch(from_az, to_az)
         expected = (
             reflector.rx_array.gain_dbi(from_az)
             + reflector.effective_gain_db()
@@ -160,9 +160,9 @@ class TestThroughGain:
         to_az = bearing_deg(reflector.position, hs)
         reflector.amplifier.set_gain_db(30.0)
         reflector.point_at(ap, hs)
-        aligned = reflector.through_gain_db(from_az, to_az)
+        aligned = reflector.through_gain_db_batch(from_az, to_az)
         reflector.set_beams(from_az + 25.0, to_az - 25.0)
-        misaligned = reflector.through_gain_db(from_az, to_az)
+        misaligned = reflector.through_gain_db_batch(from_az, to_az)
         assert aligned > misaligned + 10.0
 
     def test_repr(self, reflector):

@@ -1,5 +1,6 @@
 """Unit tests for pose-assisted beam tracking (section 6 extension)."""
 
+import numpy as np
 import pytest
 
 from repro.core.tracking import PoseAssistedTracker
@@ -9,7 +10,7 @@ from repro.geometry.vectors import Vec2
 def gaussian_beam_snr(true_bearing_deg, peak_snr=30.0, beamwidth=10.0):
     """An SNR probe peaking when the beam points at the true bearing."""
 
-    def probe(angle_deg: float) -> float:
+    def probe(angle_deg):
         offset = (angle_deg - true_bearing_deg + 180.0) % 360.0 - 180.0
         return peak_snr - 3.0 * (2.0 * offset / beamwidth) ** 2
 
@@ -64,6 +65,25 @@ class TestRefinement:
         for i in range(1, 40):
             update = tracker.update(float(i), Vec2(3, 0), weak)
         assert update.mode == "predict"
+
+
+class TestBroadcastProbe:
+    def test_one_probe_call_per_sweep(self):
+        """The prediction check is one probe; each sweep is one call
+        over its whole codebook."""
+        calls = []
+        shifted = gaussian_beam_snr(30.0)
+
+        def probe(angles_deg):
+            calls.append(np.shape(angles_deg))
+            return shifted(angles_deg)
+
+        tracker = PoseAssistedTracker(anchor_position=Vec2(0, 0), refine_span_deg=6.0)
+        tracker.update(0.0, Vec2(3, 0), gaussian_beam_snr(0.0))
+        update = tracker.update(1.0, Vec2(3, 0), probe)
+        assert update.mode == "full-search"
+        assert calls == [(), (7,), (101,)]
+        assert update.probes_used == 1 + 7 + 101
 
 
 class TestStats:

@@ -57,11 +57,9 @@ class TestMeasure:
         """Received power decomposes into the textbook terms."""
         budget, tx, rx = setup
         los = budget.tracer.line_of_sight(tx.position, rx.position)
-        power = budget.path_rx_power_dbm(
-            tx, rx, los,
-            tx_steer_deg=los.departure_angle_deg,
-            rx_steer_deg=los.arrival_angle_deg,
-        )
+        power = budget.path_powers_dbm(
+            tx, rx, [los], los.departure_angle_deg, los.arrival_angle_deg
+        )[0]
         expected = (
             tx.config.tx_power_dbm
             + tx.tx_gain_dbi(los.departure_angle_deg,

@@ -1,5 +1,8 @@
 """Unit tests for the 802.11ad sector-level sweep baseline."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.link.beams import Codebook
@@ -13,7 +16,7 @@ from repro.link.sls import (
 
 
 def planted_peak(tx_peak: float, rx_peak: float, height: float = 30.0):
-    def metric(tx: float, rx: float) -> float:
+    def metric(tx, rx):
         return height - 0.1 * ((tx - tx_peak) ** 2 + (rx - rx_peak) ** 2)
 
     return metric
@@ -55,6 +58,40 @@ class TestSectorLevelSweep:
         just_below = planted_peak(50.0, 50.0, height=QUASI_OMNI_PENALTY_DB - 1.0)
         assert sector_level_sweep(initiator, responder, just_above).detected
         assert not sector_level_sweep(initiator, responder, just_below).detected
+
+    def test_one_metric_call_per_phase(self):
+        calls = []
+
+        def metric(tx, rx):
+            calls.append((np.shape(tx), np.shape(rx)))
+            return planted_peak(40.0, 60.0)(tx, rx)
+
+        initiator = Codebook.uniform(0.0, 100.0, 5.0)
+        responder = Codebook.uniform(0.0, 100.0, 10.0)
+        sector_level_sweep(initiator, responder, metric)
+        assert calls == [((21,), ()), ((), (11,))]
+
+    def test_nan_probes_are_unusable(self):
+        initiator = Codebook.uniform(40.0, 60.0, 5.0)
+        responder = Codebook.uniform(40.0, 60.0, 5.0)
+        strong = planted_peak(50.0, 50.0)
+
+        def metric(tx, rx):
+            return np.where(np.asarray(tx) == 50.0, np.nan, strong(tx, rx))
+
+        result = sector_level_sweep(initiator, responder, metric)
+        assert result.detected
+        assert result.initiator_sector_deg == 45.0
+
+    def test_all_unusable_falls_back_to_centers(self):
+        initiator = Codebook.uniform(40.0, 60.0, 5.0)
+        responder = Codebook.uniform(0.0, 20.0, 5.0)
+        result = sector_level_sweep(initiator, responder, lambda tx, rx: np.nan)
+        assert not result.detected
+        assert result.initiator_sector_deg == 50.0
+        assert result.responder_sector_deg == 10.0
+        assert result.best_metric_db == -math.inf
+        assert result.num_frames == 10
 
     def test_sweep_time(self):
         result = SlsResult(0.0, 0.0, 0.0, num_frames=100, detected=True)
