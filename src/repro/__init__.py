@@ -12,7 +12,7 @@ The package is organized bottom-up:
   diffraction, amplifiers, OFDM;
 * :mod:`repro.rate` — 802.11ad MCS tables and rate adaptation;
 * :mod:`repro.link` — radios, link budgets, beam search, event core;
-* :mod:`repro.vr` — headset, traffic, QoE, battery;
+* :mod:`repro.vr` — VR traffic, QoE, battery;
 * :mod:`repro.core` — **the paper's contribution**: the MoVR
   reflector, leakage model, backscatter angle search, current-sensing
   gain control, handoff controller, pose-assisted tracking;
@@ -39,7 +39,7 @@ from repro.geometry import Room, Vec2, standard_office
 from repro.link import LinkBudget, Radio, RadioConfig
 from repro.phy import MmWaveChannel, PhasedArray, PhasedArrayConfig
 from repro.rate import best_mcs_for_snr, data_rate_mbps_for_snr
-from repro.vr import Headset, VrTrafficModel
+from repro.vr import VrTrafficModel
 
 __version__ = "1.0.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "PhasedArrayConfig",
     "best_mcs_for_snr",
     "data_rate_mbps_for_snr",
-    "Headset",
     "VrTrafficModel",
     "__version__",
 ]

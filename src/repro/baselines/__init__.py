@@ -1,16 +1,12 @@
 """Baselines the paper compares against (or dismisses)."""
 
 from repro.baselines.multi_ap import (
-    REFLECTOR_COST_USD,
-    TRANSCEIVER_COST_USD,
     DeploymentCost,
     MultiApBaseline,
     MultiApResult,
     movr_deployment_cost,
 )
 from repro.baselines.nlos_relay import (
-    DualAntennaBaseline,
-    DualAntennaResult,
     OptNlosBaseline,
     OptNlosResult,
 )
@@ -20,34 +16,26 @@ from repro.baselines.static_mirror import (
     wall_panel,
 )
 from repro.baselines.wifi import (
-    BEST_CASE_WIFI,
     DEFAULT_WIFI,
     WifiConfig,
     max_wifi_goodput_mbps,
-    wifi_can_carry_vr,
     wifi_goodput_mbps,
     wifi_phy_rate_mbps,
 )
 
 __all__ = [
-    "REFLECTOR_COST_USD",
-    "TRANSCEIVER_COST_USD",
     "DeploymentCost",
     "MultiApBaseline",
     "MultiApResult",
     "movr_deployment_cost",
-    "DualAntennaBaseline",
-    "DualAntennaResult",
     "OptNlosBaseline",
     "OptNlosResult",
     "MirrorPanel",
     "StaticMirrorBaseline",
     "wall_panel",
-    "BEST_CASE_WIFI",
     "DEFAULT_WIFI",
     "WifiConfig",
     "max_wifi_goodput_mbps",
-    "wifi_can_carry_vr",
     "wifi_goodput_mbps",
     "wifi_phy_rate_mbps",
 ]

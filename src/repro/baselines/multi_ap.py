@@ -22,12 +22,6 @@ from repro.geometry.vectors import Vec2, bearing_deg
 from repro.link.budget import LinkBudget, LinkMeasurement
 from repro.link.radios import DEFAULT_RADIO_CONFIG, Radio, RadioConfig
 
-#: Rough 2016-era component cost of a full mmWave transceiver chain
-#: (phased array + up/down conversion + baseband), used for the cost
-#: comparison columns.  A MoVR reflector is amplifier + arrays only.
-TRANSCEIVER_COST_USD = 300.0
-REFLECTOR_COST_USD = 60.0
-
 
 @dataclass(frozen=True)
 class MultiApResult:
@@ -48,13 +42,6 @@ class DeploymentCost:
     num_transceivers: int
     num_reflectors: int
     cable_meters: float
-
-    @property
-    def hardware_cost_usd(self) -> float:
-        return (
-            self.num_transceivers * TRANSCEIVER_COST_USD
-            + self.num_reflectors * REFLECTOR_COST_USD
-        )
 
 
 class MultiApBaseline:

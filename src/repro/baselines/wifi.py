@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.utils.validation import require_int, require_positive
+from repro.utils.validation import require_int
 
 #: VHT MCS data rates in Mbps for one spatial stream at 80 MHz,
 #: long guard interval (IEEE 802.11ac Table 21-30 family).
@@ -50,9 +50,6 @@ class WifiConfig:
 #: A strong consumer configuration (2x2 at 80 MHz).
 DEFAULT_WIFI = WifiConfig()
 
-#: The best the standard allows for one link.
-BEST_CASE_WIFI = WifiConfig(bandwidth_mhz=160, spatial_streams=4)
-
 
 def wifi_phy_rate_mbps(snr_db: float, config: WifiConfig = DEFAULT_WIFI) -> float:
     """802.11ac PHY rate at a given SNR (0 when below MCS0)."""
@@ -72,16 +69,6 @@ def wifi_phy_rate_mbps(snr_db: float, config: WifiConfig = DEFAULT_WIFI) -> floa
 def wifi_goodput_mbps(snr_db: float, config: WifiConfig = DEFAULT_WIFI) -> float:
     """Application-level throughput after MAC overheads."""
     return wifi_phy_rate_mbps(snr_db, config) * config.mac_efficiency
-
-
-def wifi_can_carry_vr(required_rate_mbps: float, config: WifiConfig = DEFAULT_WIFI) -> bool:
-    """Can this WiFi configuration ever meet the VR rate?
-
-    Evaluated at an optimistically high SNR (40 dB) — if it fails
-    there, it fails everywhere.
-    """
-    require_positive(required_rate_mbps, "required_rate_mbps")
-    return wifi_goodput_mbps(40.0, config) >= required_rate_mbps
 
 
 def max_wifi_goodput_mbps(config: WifiConfig = DEFAULT_WIFI) -> float:

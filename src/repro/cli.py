@@ -15,7 +15,7 @@ in CI.
 Telemetry flags (see docs/observability.md):
 
 ``--metrics PATH``
-    Write the run's metric snapshot (counters, gauges, histogram
+    Write the run's metric snapshot (counters, histogram
     quantiles) as JSON.
 ``--trace PATH``
     Write the run's span tree in Chrome trace-event format — load it

@@ -151,16 +151,3 @@ class BleLink:
             )
         self.reconnects += 1
         return at_time_s + self.config.reconnect_setup_s
-
-    def round_trip_time_s(self, send_time_s: float, message_bytes: int = 20) -> float:
-        """Command + acknowledgment latency."""
-        arrival = self.delivery_time_s(send_time_s, message_bytes)
-        return self.delivery_time_s(arrival, 8) - send_time_s
-
-    def expected_one_way_latency_s(self) -> float:
-        """Mean one-way latency for a single-event message (analytic)."""
-        interval = self.config.connection_interval_s
-        p = self.config.loss_rate
-        # Half an interval of alignment wait + one event + geometric
-        # retransmissions.
-        return interval / 2.0 + interval * (1.0 + p / (1.0 - p))

@@ -138,29 +138,6 @@ class FaultSchedule:
             return max(base_rate, burst.loss_rate)
         return base_rate
 
-    def next_link_up_s(self, t_s: float) -> float:
-        """When the ``LINK_DOWN`` outage covering ``t_s`` ends.
-
-        Returns ``t_s`` itself when the link is up.  Consecutive or
-        overlapping down windows are chained.
-        """
-        t = t_s
-        while True:
-            window = self._active(FaultKind.LINK_DOWN, t)
-            if window is None:
-                return t
-            t = window.end_s
-
-    def total_down_time_s(self, horizon_s: float) -> float:
-        """Summed ``LINK_DOWN`` time in ``[0, horizon_s)`` (no overlap
-        de-duplication: down windows are expected to be disjoint)."""
-        require_positive(horizon_s, "horizon_s")
-        total = 0.0
-        for w in self.windows:
-            if w.kind is FaultKind.LINK_DOWN:
-                total += max(0.0, min(w.end_s, horizon_s) - min(w.start_s, horizon_s))
-        return total
-
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -95,10 +95,6 @@ class ControlLog:
     def message_count(self) -> int:
         return len(self.messages)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(MESSAGE_BYTES[m.msg_type] for m in self.messages)
-
     def count_by_type(self) -> Dict[MessageType, int]:
         counts: Dict[MessageType, int] = {}
         for m in self.messages:

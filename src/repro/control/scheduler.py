@@ -35,10 +35,6 @@ class SearchImpact:
     #: worst-case offset when the caller did not pin one).
     start_offset_s: float = 0.0
 
-    @property
-    def disruptive(self) -> bool:
-        return self.frames_lost > 0
-
 
 @dataclass(frozen=True)
 class SharedWindowImpact:
@@ -52,10 +48,6 @@ class SharedWindowImpact:
     capacity_s: float
     frames_lost: int
     lost_users: Tuple[int, ...]
-
-    @property
-    def frames_delivered(self) -> int:
-        return self.num_users - self.frames_lost
 
     @property
     def utilization(self) -> float:
@@ -92,11 +84,6 @@ class AirtimeScheduler:
         return self.traffic.frame_airtime_s(self.link_rate_mbps) * (
             1.0 + self.guard_fraction
         )
-
-    @property
-    def slack_per_frame_s(self) -> float:
-        """Idle time inside each frame deadline window."""
-        return max(0.0, self.traffic.frame_deadline_s - self.frame_airtime_s)
 
     def _impact_at_offset(
         self, search_time_s: float, offset_s: float
@@ -266,13 +253,6 @@ class AirtimeScheduler:
             frames_lost=len(lost),
             lost_users=tuple(lost),
         )
-
-    def max_probes_without_frame_loss(self) -> int:
-        """Largest contiguous probe burst that costs zero frames."""
-        budget = self.traffic.frame_deadline_s - self.frame_airtime_s
-        if budget <= 0.0:
-            return 0
-        return int(budget / self.probe_time_s)
 
 
 def compare_search_strategies(

@@ -23,7 +23,6 @@ from repro.core.gain_control import (
 from repro.core.prediction import (
     PoseKalmanFilter,
     PredictedPose,
-    prediction_error_deg,
 )
 from repro.core.leakage import (
     BROADSIDE_DEG,
@@ -64,7 +63,6 @@ __all__ = [
     "PoseAssistedTracker",
     "PoseKalmanFilter",
     "PredictedPose",
-    "prediction_error_deg",
     "TrackerStats",
     "TrackingUpdate",
 ]

@@ -344,16 +344,6 @@ class MoVRSystem:
         del self._control_down[reflector_name]
         telemetry.inc("controller.control_recovered")
 
-    def attach_coordinator(self, coordinator) -> None:
-        """Wire a :class:`ReflectorCoordinator`'s loss/recovery
-        callbacks to this system's handoff exclusion set."""
-        name = coordinator.reflector.name
-        self._reflector(name)
-        coordinator.on_control_lost = lambda t_s: self.mark_control_lost(name, t_s)
-        coordinator.on_control_recovered = lambda t_s: self.mark_control_recovered(
-            name, t_s
-        )
-
     def _reflector(self, reflector_name: str) -> MoVRReflector:
         for reflector in self.reflectors:
             if reflector.name == reflector_name:

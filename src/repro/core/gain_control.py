@@ -79,10 +79,6 @@ class GainControlResult:
     gain_trace_db: List[float] = field(default_factory=list)
     current_trace_ma: List[float] = field(default_factory=list)
 
-    @property
-    def hit_max_gain(self) -> bool:
-        return not self.knee_detected
-
 
 class CurrentSensingGainController:
     """The paper's adaptive gain algorithm.

@@ -11,7 +11,7 @@ tracking information" fast path robust to control latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class PoseKalmanFilter:
         self._covariance: Optional[np.ndarray] = None
         self._last_time_s: Optional[float] = None
         self._unwrapped_yaw: Optional[float] = None
-
-    @property
-    def initialized(self) -> bool:
-        return self._state is not None
 
     # ------------------------------------------------------------------
 
@@ -128,46 +124,3 @@ class PoseKalmanFilter:
         if self._state is None:
             raise RuntimeError("filter has no samples yet")
         return Vec2(float(self._state[3]), float(self._state[4]))
-
-    @property
-    def yaw_rate_deg_s(self) -> float:
-        if self._state is None:
-            raise RuntimeError("filter has no samples yet")
-        return float(self._state[5])
-
-
-def prediction_error_deg(
-    filter_horizon_s: float,
-    trace,
-    anchor: Vec2,
-    sample_stride: int = 1,
-) -> List[float]:
-    """Beam-pointing error (degrees at an anchor) of horizon-ahead
-    prediction along a motion trace.
-
-    For each pose, the filter predicts ``filter_horizon_s`` ahead and
-    the bearing from ``anchor`` to the predicted position is compared
-    with the bearing to the true future position.
-    """
-    from repro.geometry.vectors import bearing_deg
-
-    kf = PoseKalmanFilter()
-    errors: List[float] = []
-    samples = list(trace)
-    for i in range(0, len(samples), sample_stride):
-        pose = samples[i]
-        kf.update(pose)
-        future_time = pose.time_s + filter_horizon_s
-        if future_time > samples[-1].time_s or not kf.initialized:
-            continue
-        predicted = kf.predict(filter_horizon_s)
-        truth = trace.pose_at(future_time)
-        if (
-            predicted.position.distance_to(anchor) < 0.2
-            or truth.position.distance_to(anchor) < 0.2
-        ):
-            continue
-        predicted_bearing = bearing_deg(anchor, predicted.position)
-        true_bearing = bearing_deg(anchor, truth.position)
-        errors.append(abs(wrap_angle_deg(predicted_bearing - true_bearing)))
-    return errors

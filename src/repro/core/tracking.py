@@ -143,7 +143,3 @@ class PoseAssistedTracker:
         )
         self.stats.record(update)
         return update
-
-    @property
-    def current_angle_deg(self) -> Optional[float]:
-        return self._current_angle_deg

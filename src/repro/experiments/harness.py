@@ -10,7 +10,7 @@ contract recorded in EXPERIMENTS.md.
 Each ``run_*`` function is wrapped in :func:`scoped_run`, which gives
 the run its own :mod:`repro.telemetry` scope.  The report therefore
 also carries that run's **telemetry**: the metric snapshot (counters,
-gauges, histogram quantiles), the typed control-plane event log, and
+histogram quantiles), the typed control-plane event log, and
 the tracing-span tree — all rendered in the text report and
 serialized in the JSON.  Nested experiment invocations are safe: a
 sub-experiment records into (and may reset) only its own scope, and
@@ -65,8 +65,8 @@ class ExperimentReport:
     events: List[Dict[str, object]] = field(default_factory=list)
     #: Tracing-span trees (see :class:`repro.telemetry.Span`).
     spans: List[Dict[str, object]] = field(default_factory=list)
-    #: Full metric snapshot: counters, gauges, histogram quantiles,
-    #: and time-series digests.
+    #: Full metric snapshot: counters, histogram quantiles and
+    #: time-series digests.
     metrics: Dict[str, object] = field(default_factory=dict)
     #: SLO verdicts over the run's time series (dicts from
     #: :meth:`repro.telemetry.slo.SloResult.to_dict`).

@@ -19,7 +19,6 @@ from repro.geometry.mobility import (
 )
 from repro.geometry.raytrace import Obstruction, PropagationPath, RayTracer
 from repro.geometry.room import (
-    CONCRETE,
     DRYWALL,
     GLASS,
     METAL,
@@ -49,7 +48,6 @@ __all__ = [
     "Obstruction",
     "PropagationPath",
     "RayTracer",
-    "CONCRETE",
     "DRYWALL",
     "GLASS",
     "METAL",

@@ -74,15 +74,6 @@ class PersonModel:
             Circle(center=self.position + head_offset, radius=self.head_radius_m),
         ]
 
-    def advanced(self, distance_m: float) -> "PersonModel":
-        """The same person after walking ``distance_m`` along heading."""
-        return PersonModel(
-            position=self.position + Vec2.from_polar(distance_m, self.heading_deg),
-            heading_deg=self.heading_deg,
-            torso_radius_m=self.torso_radius_m,
-            head_radius_m=self.head_radius_m,
-        )
-
 
 def person_blocking_path(tx: Vec2, rx: Vec2, fraction: float = 0.5) -> PersonModel:
     """Place a person on the TX-RX line at ``fraction`` of the way.

@@ -30,16 +30,6 @@ class PoseSample:
     position: Vec2
     yaw_deg: float
 
-    def receiver_position(self, mount_offset_m: float = 0.0) -> Vec2:
-        """Position of the headset-mounted receiver.
-
-        The receiver sits on the faceplate, ``mount_offset_m`` forward
-        of the head center along the facing direction.
-        """
-        if mount_offset_m == 0.0:
-            return self.position
-        return self.position + Vec2.from_polar(mount_offset_m, self.yaw_deg)
-
 
 @dataclass(frozen=True)
 class MotionTrace:

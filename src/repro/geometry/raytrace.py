@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.room import Occluder, Room, Wall
-from repro.geometry.shapes import EPSILON, Circle, Segment
+from repro.geometry.shapes import EPSILON, Circle
 from repro.geometry.vectors import Vec2, bearing_deg
 
 #: How close (meters) two nodes may be before the far-field assumption
@@ -127,17 +127,6 @@ class PropagationPath:
     @property
     def is_obstructed(self) -> bool:
         return bool(self.obstructions)
-
-    @property
-    def legs(self) -> List[Segment]:
-        return [
-            Segment(self.points[i], self.points[i + 1])
-            for i in range(len(self.points) - 1)
-        ]
-
-    def propagation_delay_s(self, speed: float = 299_792_458.0) -> float:
-        """Time of flight in seconds."""
-        return self.total_length_m / speed
 
 
 class RayTracer:

@@ -43,9 +43,6 @@ class WallMaterial:
 #: we use 10 dB as the nominal value.
 DRYWALL = WallMaterial(name="drywall", reflection_loss_db=10.0)
 
-#: Concrete: slightly better reflector, impossible to penetrate.
-CONCRETE = WallMaterial(name="concrete", reflection_loss_db=8.0, penetration_loss_db=80.0)
-
 #: Glass window: partially transparent, lossy reflector.
 GLASS = WallMaterial(name="glass", reflection_loss_db=12.0, penetration_loss_db=25.0)
 

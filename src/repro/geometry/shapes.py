@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.geometry.vectors import Vec2, point_segment_distance
 
@@ -42,10 +42,6 @@ class Segment:
     def normal(self) -> Vec2:
         """Unit normal (+90 degrees from the a->b direction)."""
         return self.direction.perpendicular()
-
-    @property
-    def midpoint(self) -> Vec2:
-        return (self.a + self.b) * 0.5
 
     def point_at(self, t: float) -> Vec2:
         """Point at parameter ``t`` in [0, 1] along the segment."""
@@ -159,12 +155,6 @@ class AxisAlignedBox:
             self.min_corner.x - EPSILON <= point.x <= self.max_corner.x + EPSILON
             and self.min_corner.y - EPSILON <= point.y <= self.max_corner.y + EPSILON
         )
-
-    def edges(self) -> List[Segment]:
-        """The four boundary segments."""
-        lo, hi = self.min_corner, self.max_corner
-        corners = [lo, Vec2(hi.x, lo.y), hi, Vec2(lo.x, hi.y)]
-        return [Segment(corners[i], corners[(i + 1) % 4]) for i in range(4)]
 
     def intersects_segment(self, seg_a: Vec2, seg_b: Vec2) -> bool:
         """True iff the segment enters the box (slab method)."""

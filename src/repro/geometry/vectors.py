@@ -79,12 +79,6 @@ class Vec2:
         """The vector rotated +90 degrees (counter-clockwise)."""
         return Vec2(-self.y, self.x)
 
-    def rotated(self, angle_deg: float) -> "Vec2":
-        """The vector rotated counter-clockwise by ``angle_deg``."""
-        a = math.radians(angle_deg)
-        c, s = math.cos(a), math.sin(a)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
     def distance_to(self, other: "Vec2") -> float:
         """Euclidean distance to another point."""
         return (self - other).norm

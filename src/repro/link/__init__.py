@@ -25,19 +25,14 @@ from repro.link.codebook_design import (
     design_sector_codebook,
     search_cost_frames,
 )
-from repro.link.events import EventHandle, Simulator
+from repro.link.events import Simulator
 from repro.link.radios import (
     DEFAULT_RADIO_CONFIG,
     HEADSET_RADIO_CONFIG,
     Radio,
     RadioConfig,
 )
-from repro.link.sls import (
-    SSW_FRAME_TIME_S,
-    SlsResult,
-    sector_level_sweep,
-    sls_probe_count,
-)
+from repro.link.sls import sls_probe_count
 
 __all__ = [
     "DEFAULT_PROBE_TIME_S",
@@ -58,13 +53,9 @@ __all__ = [
     "analyze_coverage",
     "design_sector_codebook",
     "search_cost_frames",
-    "EventHandle",
     "Simulator",
     "DEFAULT_RADIO_CONFIG",
     "HEADSET_RADIO_CONFIG",
-    "SSW_FRAME_TIME_S",
-    "SlsResult",
-    "sector_level_sweep",
     "sls_probe_count",
     "Radio",
     "RadioConfig",

@@ -55,10 +55,6 @@ class Codebook:
         # Element-wise start + i * step: the same floats as in Python.
         return cls(tuple((start_deg + np.arange(count) * step_deg).tolist()))
 
-    def nearest(self, angle_deg: float) -> float:
-        """The codebook entry closest to ``angle_deg``."""
-        return min(self.angles_deg, key=lambda a: abs(a - angle_deg))
-
 
 @dataclass(frozen=True)
 class SweepResult:

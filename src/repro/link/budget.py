@@ -51,11 +51,6 @@ class LinkMeasurement:
     tx_steer_deg: float
     rx_steer_deg: float
 
-    @property
-    def in_outage(self) -> bool:
-        """No decodable energy at all."""
-        return self.received_power_dbm == -math.inf
-
     @classmethod
     def outage(cls, tx_steer_deg: float, rx_steer_deg: float) -> "LinkMeasurement":
         """The canonical dead-link measurement at a steering pair."""

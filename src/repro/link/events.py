@@ -4,8 +4,8 @@ Drives the end-to-end experiments: VR frames arriving every 11.1 ms,
 pose updates at 90 Hz, blockage events from motion traces, and control
 actions (beam re-search, handoff to a reflector) that take simulated
 time.  Deliberately minimal — an event heap with deterministic
-tie-breaking and a cancellation facility — because determinism matters
-more than generality for reproducible experiments.
+tie-breaking — because determinism matters more than generality for
+reproducible experiments.
 """
 
 from __future__ import annotations
@@ -24,26 +24,7 @@ class _ScheduledEvent:
     time_s: float
     sequence: int
     callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
     label: str = field(default="", compare=False)
-
-
-class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time_s(self) -> float:
-        return self._event.time_s
 
 
 class Simulator:
@@ -57,7 +38,6 @@ class Simulator:
         self._queue: List[_ScheduledEvent] = []
         self._counter = itertools.count()
         self._now = 0.0
-        self._running = False
         self.events_processed = 0
 
     @property
@@ -70,7 +50,7 @@ class Simulator:
         delay_s: float,
         callback: EventCallback,
         label: str = "",
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback`` to run ``delay_s`` seconds from now."""
         if delay_s < 0.0 or not math.isfinite(delay_s):
             raise ValueError(f"delay must be finite and non-negative, got {delay_s}")
@@ -81,13 +61,6 @@ class Simulator:
             label=label,
         )
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
-
-    def schedule_at(self, time_s: float, callback: EventCallback, label: str = "") -> EventHandle:
-        """Schedule at an absolute simulation time (must not be in the past)."""
-        if time_s < self._now:
-            raise ValueError(f"cannot schedule at {time_s} before now ({self._now})")
-        return self.schedule(time_s - self._now, callback, label)
 
     def schedule_periodic(
         self,
@@ -119,29 +92,9 @@ class Simulator:
         """Process events up to and including ``end_time_s``."""
         if end_time_s < self._now:
             raise ValueError("end time is in the past")
-        self._running = True
         while self._queue and self._queue[0].time_s <= end_time_s:
             event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
             self._now = event.time_s
             event.callback(self)
             self.events_processed += 1
         self._now = end_time_s
-        self._running = False
-
-    def run(self) -> None:
-        """Process every pending event (careful with periodic tasks)."""
-        self._running = True
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time_s
-            event.callback(self)
-            self.events_processed += 1
-        self._running = False
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)

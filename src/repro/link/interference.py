@@ -35,11 +35,6 @@ class SinrMeasurement:
         """SNR lost to interference (0 when interference-free)."""
         return self.snr_db - self.sinr_db
 
-    @property
-    def interference_limited(self) -> bool:
-        """Is interference (not noise) the dominant impairment?"""
-        return self.interference_dbm > self.noise_floor_dbm
-
 
 def sinr_db(
     signal_dbm: float,

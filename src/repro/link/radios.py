@@ -124,20 +124,6 @@ class Radio:
     def rx_gain_dbi(self, from_deg: float, steer_override_deg: Optional[float] = None) -> float:
         return self.array.gain_dbi(from_deg, steer_override_deg)
 
-    def eirp_dbm(self, toward_deg: float) -> float:
-        """Effective isotropic radiated power toward an azimuth."""
-        return self.config.tx_power_dbm + self.tx_gain_dbi(toward_deg)
-
-    def moved_to(self, position: Vec2, boresight_deg: Optional[float] = None) -> "Radio":
-        """A copy of this radio at a new pose (motion-trace stepping)."""
-        clone = Radio(
-            position=position,
-            boresight_deg=self.boresight_deg if boresight_deg is None else boresight_deg,
-            config=self.config,
-            name=self.name,
-        )
-        return clone
-
     def __repr__(self) -> str:
         return (
             f"Radio({self.name!r}, pos=({self.position.x:.2f}, {self.position.y:.2f}), "

@@ -5,13 +5,10 @@ from repro.phy.amplifier import (
     AmplifierSpec,
     VariableGainAmplifier,
     closed_loop_gain_db,
-    feedback_peaking_db,
     loop_is_stable,
 )
 from repro.phy.antenna import (
     MOVR_ARRAY,
-    SMALL_ARRAY,
-    OmniAntenna,
     PhasedArray,
     PhasedArrayConfig,
 )
@@ -23,38 +20,27 @@ from repro.phy.ber import (
     q_function,
     uncoded_ber,
 )
-from repro.phy.blockage import DEFAULT_BLOCKAGE_MODEL, BlockageModel
+from repro.phy.blockage import BlockageModel
 from repro.phy.channel import (
     MmWaveChannel,
     atmospheric_loss_db,
     free_space_path_loss_db,
 )
 from repro.phy.noise import (
-    DEFAULT_RECEIVER_NOISE,
     ReceiverNoise,
-    friis_cascade_nf_db,
     relay_path_snr_db,
 )
 from repro.phy.ofdm import (
-    ChannelTap,
     OfdmConfig,
     OfdmModem,
-    apply_multipath,
-    channel_frequency_response,
-    delay_spread_s,
     measure_link_snr_db,
-    measure_multipath_snr_db,
-    taps_from_paths,
 )
 from repro.phy.signals import (
     ToneProbe,
     add_awgn,
-    awgn_for_snr,
     band_power,
-    dominant_frequency,
     ook_modulate,
     signal_power,
-    signal_power_dbm,
     tone,
 )
 
@@ -63,11 +49,8 @@ __all__ = [
     "AmplifierSpec",
     "VariableGainAmplifier",
     "closed_loop_gain_db",
-    "feedback_peaking_db",
     "loop_is_stable",
     "MOVR_ARRAY",
-    "SMALL_ARRAY",
-    "OmniAntenna",
     "PhasedArray",
     "PhasedArrayConfig",
     "best_goodput_mbps",
@@ -76,31 +59,19 @@ __all__ = [
     "goodput_mbps",
     "q_function",
     "uncoded_ber",
-    "DEFAULT_BLOCKAGE_MODEL",
     "BlockageModel",
     "MmWaveChannel",
     "atmospheric_loss_db",
     "free_space_path_loss_db",
-    "DEFAULT_RECEIVER_NOISE",
     "ReceiverNoise",
-    "friis_cascade_nf_db",
     "relay_path_snr_db",
-    "ChannelTap",
     "OfdmConfig",
     "OfdmModem",
-    "apply_multipath",
-    "channel_frequency_response",
-    "delay_spread_s",
     "measure_link_snr_db",
-    "measure_multipath_snr_db",
-    "taps_from_paths",
     "ToneProbe",
     "add_awgn",
-    "awgn_for_snr",
     "band_power",
-    "dominant_frequency",
     "ook_modulate",
     "signal_power",
-    "signal_power_dbm",
     "tone",
 ]

@@ -88,10 +88,6 @@ class VariableGainAmplifier:
         self._gain_db = min(self._gain_db, self.spec.max_gain_db)
         return self._gain_db
 
-    def step_gain(self, steps: int = 1) -> float:
-        """Step the gain up or down by whole DAC steps."""
-        return self.set_gain_db(self._gain_db + steps * self.spec.gain_step_db)
-
     # -- large-signal behaviour ----------------------------------------
 
     def output_power_dbm(self, input_dbm: float, gain_db: Optional[float] = None) -> float:
@@ -108,15 +104,6 @@ class VariableGainAmplifier:
         sat = 10.0 ** (psat / 10.0)
         out = lin / (1.0 + (lin / sat) ** p) ** (1.0 / p)
         return 10.0 * math.log10(out)
-
-    def compression_db(self, input_dbm: float, gain_db: Optional[float] = None) -> float:
-        """How many dB below linear the output currently is."""
-        g = self._gain_db if gain_db is None else gain_db
-        return (input_dbm + g) - self.output_power_dbm(input_dbm, g)
-
-    def is_saturated(self, input_dbm: float, gain_db: Optional[float] = None) -> bool:
-        """Compressing by more than 1 dB counts as saturated."""
-        return self.compression_db(input_dbm, gain_db) > 1.0
 
     def current_draw_ma(self, output_dbm: float) -> float:
         """DC supply current at a given output power.
@@ -186,8 +173,3 @@ def closed_loop_gain_db_batch(gain_db, leakage_db) -> np.ndarray:
     stable = loop < 0.0
     loop_amplitude = np.power(10.0, np.where(stable, loop, -np.inf) / 20.0)
     return np.where(stable, gain - 20.0 * np.log10(1.0 - loop_amplitude), np.nan)
-
-
-def feedback_peaking_db(gain_db: float, leakage_db: float) -> float:
-    """Extra gain (and extra output power) contributed by the loop."""
-    return closed_loop_gain_db(gain_db, leakage_db) - gain_db

@@ -29,7 +29,6 @@ from repro.utils.units import (
     angle_difference_deg,
     angle_difference_deg_batch,
     deg_to_rad,
-    wavelength,
 )
 from repro.utils.validation import require_int, require_positive
 
@@ -64,10 +63,6 @@ class PhasedArrayConfig:
         require_int(self.num_panels, "num_panels", minimum=1)
 
     @property
-    def wavelength_m(self) -> float:
-        return wavelength(self.carrier_hz)
-
-    @property
     def boresight_gain_dbi(self) -> float:
         """Peak gain when steered to broadside: array gain + element gain."""
         return 10.0 * math.log10(self.num_elements) + self.element_gain_dbi
@@ -98,10 +93,6 @@ def _array_factor_db(num_elements: int, psi: np.ndarray) -> np.ndarray:
 #: The MoVR prototype array: ~17 dBi peak gain, ~6.4 degree beamwidth —
 #: consistent with the paper's "~10 degrees" including steering loss.
 MOVR_ARRAY = PhasedArrayConfig()
-
-#: Wider-beam, lower-gain array for ablations.
-SMALL_ARRAY = PhasedArrayConfig(num_elements=8)
-
 
 class PhasedArray:
     """A steerable phased array mounted at a fixed orientation.
@@ -433,27 +424,3 @@ class MultiPanelArray:
 
     def backlobe_level_dbi(self) -> float:
         return self._panels[0].backlobe_level_dbi()
-
-
-@dataclass(frozen=True)
-class OmniAntenna:
-    """An isotropic (0 dBi) antenna — the WiFi baseline's antenna."""
-
-    gain_dbi_value: float = 0.0
-
-    def gain_dbi(self, toward_deg: float, steer_override_deg: Optional[float] = None) -> float:
-        return self.gain_dbi_value
-
-    def gain_dbi_batch(self, toward_deg, steer_deg) -> np.ndarray:
-        return np.full(np.broadcast(
-            np.asarray(toward_deg, dtype=float), np.asarray(steer_deg, dtype=float)
-        ).shape, self.gain_dbi_value)
-
-    def steer_to(self, azimuth_deg: float) -> float:
-        return azimuth_deg
-
-    def steer_to_batch(self, azimuth_deg: np.ndarray) -> np.ndarray:
-        return np.asarray(azimuth_deg, dtype=float)
-
-    def can_steer_to(self, azimuth_deg: float) -> bool:
-        return True

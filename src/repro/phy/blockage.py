@@ -132,7 +132,3 @@ class BlockageModel:
                     group = [o]
             clusters.append(group)
         return clusters
-
-
-#: Shared default instance used throughout the library.
-DEFAULT_BLOCKAGE_MODEL = BlockageModel()

@@ -82,10 +82,6 @@ class MmWaveChannel:
         if self.rng is None:
             self.rng = make_rng(None)
 
-    @property
-    def wavelength_m(self) -> float:
-        return wavelength(self.carrier_hz)
-
     def path_gain_db(self, path: PropagationPath, include_blockage: bool = True) -> float:
         """Channel gain (negative dB) along a propagation path.
 
@@ -104,15 +100,3 @@ class MmWaveChannel:
         if self.shadowing_sigma_db > 0.0:
             gain += float(self.rng.normal(0.0, self.shadowing_sigma_db))
         return gain
-
-    def complex_gain(self, path: PropagationPath, include_blockage: bool = True) -> complex:
-        """Complex baseband channel coefficient for the path.
-
-        Magnitude from :meth:`path_gain_db`; phase from the carrier
-        cycle count over the path length (deterministic, so coherent
-        multi-path combining is physically consistent).
-        """
-        gain_db = self.path_gain_db(path, include_blockage)
-        amplitude = 10.0 ** (gain_db / 20.0)
-        phase = -2.0 * math.pi * (path.total_length_m / self.wavelength_m)
-        return amplitude * complex(math.cos(phase), math.sin(phase))

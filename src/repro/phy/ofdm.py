@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.utils.rng import RngLike, make_rng
-from repro.utils.validation import require_int, require_positive
+from repro.utils.validation import require_int
 
 #: QPSK constellation (Gray-coded), unit average power.
 _QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / math.sqrt(2.0)
@@ -143,149 +143,6 @@ class OfdmModem:
         if error_power <= 0.0:
             return float("inf")
         return 10.0 * math.log10(signal_power / error_power)
-
-
-@dataclass(frozen=True)
-class ChannelTap:
-    """One discrete multipath component at complex baseband."""
-
-    delay_s: float
-    gain: complex
-
-    def __post_init__(self) -> None:
-        if self.delay_s < 0.0:
-            raise ValueError("tap delay must be non-negative")
-
-
-def taps_from_paths(paths, channel) -> Tuple[ChannelTap, ...]:
-    """Convert ray-traced paths into channel taps.
-
-    Each :class:`~repro.geometry.raytrace.PropagationPath` contributes
-    one tap whose delay is its time of flight and whose complex gain
-    comes from the channel model (spreading, reflections, blockage,
-    carrier phase).  Antenna gains are *not* included — callers add
-    them per-path if beam patterns matter for the study.
-    """
-    taps = []
-    for path in paths:
-        taps.append(
-            ChannelTap(
-                delay_s=path.propagation_delay_s(),
-                gain=channel.complex_gain(path),
-            )
-        )
-    if not taps:
-        raise ValueError("need at least one path")
-    return tuple(taps)
-
-
-def delay_spread_s(taps: Sequence[ChannelTap]) -> float:
-    """Maximum excess delay over the earliest tap."""
-    if not taps:
-        raise ValueError("need at least one tap")
-    delays = [t.delay_s for t in taps]
-    return max(delays) - min(delays)
-
-
-def apply_multipath(
-    samples: np.ndarray,
-    taps: Sequence[ChannelTap],
-    sample_rate_hz: float,
-) -> np.ndarray:
-    """Convolve a signal with a tapped-delay-line channel.
-
-    Delays are taken relative to the earliest tap and rounded to whole
-    samples; output has the same length as the input (trailing echo
-    truncated), matching a receiver synchronized to the first arrival.
-    """
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    if not taps:
-        raise ValueError("need at least one tap")
-    base = min(t.delay_s for t in taps)
-    out = np.zeros_like(samples, dtype=complex)
-    for tap in taps:
-        shift = int(round((tap.delay_s - base) * sample_rate_hz))
-        if shift >= samples.size:
-            continue
-        if shift == 0:
-            out += tap.gain * samples
-        else:
-            out[shift:] += tap.gain * samples[:-shift]
-    return out
-
-
-def channel_frequency_response(
-    taps: Sequence[ChannelTap],
-    config: OfdmConfig,
-    sample_rate_hz: float,
-) -> np.ndarray:
-    """Per-active-subcarrier channel response for a tap set.
-
-    Used to predict per-tone SNR and verify the equalizer against the
-    analytic channel.
-    """
-    require_positive(sample_rate_hz, "sample_rate_hz")
-    if not taps:
-        raise ValueError("need at least one tap")
-    base = min(t.delay_s for t in taps)
-    bins = config.active_bins
-    # Bin k corresponds to frequency k * fs / N (aliased for the
-    # negative half).
-    freqs = np.where(
-        bins <= config.fft_size // 2, bins, bins - config.fft_size
-    ) * (sample_rate_hz / config.fft_size)
-    response = np.zeros(bins.size, dtype=complex)
-    for tap in taps:
-        delay = round((tap.delay_s - base) * sample_rate_hz) / sample_rate_hz
-        response += tap.gain * np.exp(-2j * math.pi * freqs * delay)
-    return response
-
-
-def measure_multipath_snr_db(
-    modem: OfdmModem,
-    taps: Sequence[ChannelTap],
-    sample_rate_hz: float,
-    snr_at_antenna_db: float,
-    equalize: bool = True,
-    rng: RngLike = None,
-) -> float:
-    """EVM SNR of a packet through a multipath channel.
-
-    ``snr_at_antenna_db`` sets the AWGN level relative to the received
-    *total* signal power.  With ``equalize=True`` the receiver applies
-    a per-subcarrier one-tap LS equalizer (as OFDM receivers do); with
-    ``equalize=False`` it uses a single complex tap for the whole band
-    — the right model for the 802.11ad SC PHY without its frequency-
-    domain equalizer, and the contrast quantifies why multipath needs
-    per-tone equalization.
-    """
-    generator = make_rng(rng)
-    payload = modem.random_payload()
-    tx = modem.modulate(payload)
-    rx = apply_multipath(tx, taps, sample_rate_hz)
-    power = float(np.mean(np.abs(rx) ** 2))
-    if power <= 0.0:
-        return float("-inf")
-    noise_power = power / (10.0 ** (snr_at_antenna_db / 10.0))
-    sigma = math.sqrt(noise_power / 2.0)
-    noise = generator.normal(0.0, sigma, rx.shape) + 1j * generator.normal(
-        0.0, sigma, rx.shape
-    )
-    grid = modem.demodulate(rx + noise)
-    if not equalize:
-        return modem.estimate_snr_db(grid, payload)
-    # Per-subcarrier LS channel estimate from the known payload.
-    ref = payload
-    h_hat = np.sum(np.conj(ref) * grid, axis=0) / np.sum(
-        np.abs(ref) ** 2, axis=0
-    )
-    equalized = grid / h_hat[None, :]
-    error = equalized - ref
-    signal_power = float(np.mean(np.abs(ref) ** 2))
-    error_power = float(np.mean(np.abs(error) ** 2))
-    if error_power <= 0.0:
-        return float("inf")
-    return 10.0 * math.log10(signal_power / error_power)
 
 
 def measure_link_snr_db(

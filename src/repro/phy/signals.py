@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from repro.utils.rng import RngLike, make_rng
@@ -49,14 +47,6 @@ def signal_power(samples: np.ndarray) -> float:
     return float(np.mean(np.abs(samples) ** 2))
 
 
-def signal_power_dbm(samples: np.ndarray, full_scale_dbm: float = 0.0) -> float:
-    """Power in dBm given the dBm value of a unit-power signal."""
-    p = signal_power(samples)
-    if p <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(p) + full_scale_dbm
-
-
 def add_awgn(
     samples: np.ndarray,
     noise_power: float,
@@ -73,17 +63,6 @@ def add_awgn(
         0.0, sigma, samples.shape
     )
     return samples + noise
-
-
-def awgn_for_snr(
-    samples: np.ndarray,
-    snr_db: float,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Add AWGN scaled to produce the requested SNR."""
-    p = signal_power(samples)
-    noise_power = p / (10.0 ** (snr_db / 10.0))
-    return add_awgn(samples, noise_power, rng)
 
 
 def ook_modulate(
@@ -133,18 +112,6 @@ def band_power(
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
     mask = np.abs(freqs - center_hz) <= width_hz / 2.0
     return float(np.sum(np.abs(spectrum[mask]) ** 2))
-
-
-def dominant_frequency(samples: np.ndarray, sample_rate_hz: float) -> Tuple[float, float]:
-    """The strongest spectral line: ``(frequency_hz, power)``."""
-    samples = np.asarray(samples)
-    n = samples.size
-    if n == 0:
-        raise ValueError("empty signal")
-    spectrum = np.abs(np.fft.fft(samples) / n) ** 2
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
-    idx = int(np.argmax(spectrum))
-    return float(freqs[idx]), float(spectrum[idx])
 
 
 @dataclass(frozen=True)

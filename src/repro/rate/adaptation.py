@@ -47,10 +47,6 @@ class RateAdapter:
             raise ValueError("up_dwell must be >= 1")
 
     @property
-    def current_mcs(self) -> Optional[Mcs]:
-        return self._current
-
-    @property
     def current_rate_mbps(self) -> float:
         return 0.0 if self._current is None else self._current.data_rate_mbps
 

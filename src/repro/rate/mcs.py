@@ -50,10 +50,6 @@ class Mcs:
         """Minimum SNR at which this MCS sustains its rate."""
         return self.sensitivity_dbm + SENSITIVITY_TO_SNR_DB
 
-    @property
-    def data_rate_gbps(self) -> float:
-        return self.data_rate_mbps / 1000.0
-
 
 #: The full 802.11ad MCS table (IEEE 802.11ad-2012, Tables 21-3/21-13/21-19).
 MCS_TABLE: List[Mcs] = [

@@ -3,7 +3,7 @@
 Three coordinated facilities, all scoped through one contextvar stack
 (:mod:`repro.telemetry.scopes`):
 
-* **Metrics** — named counters, gauges, and bounded histograms with
+* **Metrics** — named counters and bounded histograms with
   p50/p95/p99 quantiles (:mod:`repro.telemetry.instruments`,
   :mod:`repro.telemetry.registry`).  The scene cache, the batch
   kernels, and the link sweeps record here.
@@ -37,21 +37,18 @@ from repro.telemetry.events import ControlEvent, EventKind
 from repro.telemetry.instruments import (
     DEFAULT_MAX_SAMPLES,
     Counter,
-    Gauge,
     Histogram,
 )
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.scopes import (
     ROOT_SCOPE,
     TelemetryScope,
-    current_scope,
     emit,
     inc,
     metrics,
     observe,
     sample,
     scope,
-    set_gauge,
     span,
 )
 from repro.telemetry.spans import Span, Tracer, chrome_trace_events, chrome_trace_json
@@ -65,18 +62,15 @@ __all__ = [
     "ControlEvent",
     "EventKind",
     "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_MAX_SAMPLES",
     "MetricsRegistry",
     "TelemetryScope",
     "ROOT_SCOPE",
-    "current_scope",
     "metrics",
     "scope",
     "inc",
     "observe",
-    "set_gauge",
     "sample",
     "span",
     "emit",

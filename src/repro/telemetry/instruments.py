@@ -1,4 +1,4 @@
-"""Metric instruments: counters, gauges, and bounded histograms.
+"""Metric instruments: counters and bounded histograms.
 
 These are the value-holding primitives behind
 :class:`~repro.telemetry.registry.MetricsRegistry`.  They are plain
@@ -46,24 +46,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A last-value-wins measurement (e.g. cache size, current gain)."""
-
-    __slots__ = ("name", "value", "updated")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-        self.updated = False
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-        self.updated = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name!r}, {self.value})"
 
 
 class Histogram:
@@ -187,7 +169,6 @@ class Histogram:
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_MAX_SAMPLES",
     "SUMMARY_QUANTILES",

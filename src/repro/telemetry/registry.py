@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from repro.telemetry.instruments import (
     DEFAULT_MAX_SAMPLES,
     Counter,
-    Gauge,
     Histogram,
 )
 from repro.telemetry.timeseries import (
@@ -30,11 +29,10 @@ from repro.telemetry.timeseries import (
 
 
 class MetricsRegistry:
-    """A namespace of counters, gauges, histograms, and time series."""
+    """A namespace of counters, histograms, and time series."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
 
@@ -44,12 +42,6 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str, max_samples: int = DEFAULT_MAX_SAMPLES) -> Histogram:
@@ -101,9 +93,6 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram(name)
         instrument.record(value)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     def sample(
         self,
         name: str,
@@ -124,9 +113,6 @@ class MetricsRegistry:
         """JSON-ready dump of every instrument in this registry."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {
-                n: g.value for n, g in sorted(self._gauges.items()) if g.updated
-            },
             "histograms": {
                 n: h.summary() for n, h in sorted(self._histograms.items())
             },
@@ -140,7 +126,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument (start of a fresh measurement window)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         self._series.clear()
 
@@ -149,16 +134,12 @@ class MetricsRegistry:
     def merge_from(self, other: "MetricsRegistry") -> None:
         """Fold ``other``'s measurements into this registry.
 
-        Counters add, histograms merge, gauges take ``other``'s value
-        when it was actually set (last writer wins).  Used when a
+        Counters add, histograms and time series merge.  Used when a
         nested telemetry scope exits: the parent absorbs the child's
         activity without the child ever being able to zero the parent.
         """
         for name, counter in other._counters.items():
             self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            if gauge.updated:
-                self.gauge(name).set(gauge.value)
         for name, hist in other._histograms.items():
             mine = self._histograms.get(name)
             if mine is None:

@@ -54,11 +54,6 @@ _STACK: "ContextVar[Tuple[TelemetryScope, ...]]" = ContextVar(
 )
 
 
-def current_scope() -> TelemetryScope:
-    """The innermost active scope (never ``None``)."""
-    return _STACK.get()[-1]
-
-
 def metrics() -> MetricsRegistry:
     """The innermost scope's metrics registry."""
     return _STACK.get()[-1].registry
@@ -90,11 +85,6 @@ def inc(name: str, amount: int = 1) -> None:
 def observe(name: str, value: float) -> None:
     """Record one histogram observation in the innermost scope."""
     _STACK.get()[-1].registry.observe(name, value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge in the innermost scope."""
-    _STACK.get()[-1].registry.set_gauge(name, value)
 
 
 def sample(name: str, t_s: float, value: float, **kwargs: float) -> bool:
@@ -138,12 +128,10 @@ def emit(kind: EventKind, t_s: Optional[float] = None, **fields: object) -> Cont
 __all__ = [
     "TelemetryScope",
     "ROOT_SCOPE",
-    "current_scope",
     "metrics",
     "scope",
     "inc",
     "observe",
-    "set_gauge",
     "sample",
     "span",
     "emit",

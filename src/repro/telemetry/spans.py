@@ -93,16 +93,6 @@ class Tracer:
         target = self._open[-1].children if self._open else self.roots
         target.extend(roots)
 
-    @property
-    def num_spans(self) -> int:
-        total = 0
-        stack = list(self.roots)
-        while stack:
-            span = stack.pop()
-            total += 1
-            stack.extend(span.children)
-        return total
-
 
 def chrome_trace_events(roots: Sequence[Span], pid: int = 1) -> List[Dict[str, object]]:
     """Flatten a span forest into Chrome complete ('X') trace events.

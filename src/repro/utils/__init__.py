@@ -1,21 +1,14 @@
 """Shared utilities: dB math, statistics, RNG plumbing, validation."""
 
 from repro.utils.db import (
-    amplitude_ratio_to_db,
-    db_mean_power,
     db_sum_powers,
-    db_to_amplitude_ratio,
-    db_to_linear,
-    dbm_to_watts,
     linear_to_db,
-    watts_to_dbm,
 )
-from repro.utils.rng import DEFAULT_SEED, child_rng, make_rng, spawn_streams
-from repro.utils.stats import EmpiricalCdf, RunningStats, SummaryStats
+from repro.utils.rng import DEFAULT_SEED, child_rng, make_rng
+from repro.utils.stats import EmpiricalCdf
 from repro.utils.units import (
     BOLTZMANN,
     IEEE80211AD_BANDWIDTH_HZ,
-    IEEE80211AD_OFDM_BANDWIDTH_HZ,
     MOVR_CARRIER_HZ,
     SPEED_OF_LIGHT,
     T0_KELVIN,
@@ -28,24 +21,14 @@ from repro.utils.units import (
 )
 
 __all__ = [
-    "amplitude_ratio_to_db",
-    "db_mean_power",
     "db_sum_powers",
-    "db_to_amplitude_ratio",
-    "db_to_linear",
-    "dbm_to_watts",
     "linear_to_db",
-    "watts_to_dbm",
     "DEFAULT_SEED",
     "child_rng",
     "make_rng",
-    "spawn_streams",
     "EmpiricalCdf",
-    "RunningStats",
-    "SummaryStats",
     "BOLTZMANN",
     "IEEE80211AD_BANDWIDTH_HZ",
-    "IEEE80211AD_OFDM_BANDWIDTH_HZ",
     "MOVR_CARRIER_HZ",
     "SPEED_OF_LIGHT",
     "T0_KELVIN",

@@ -10,7 +10,7 @@ directly in the log domain (adding gains, combining incoherent powers).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -19,19 +19,6 @@ ArrayLike = Union[float, np.ndarray]
 #: Smallest linear power considered non-zero when converting to dB.
 #: Anything below this maps to ``-inf`` dB rather than raising.
 _LINEAR_FLOOR = 1e-30
-
-
-def db_to_linear(value_db: ArrayLike) -> ArrayLike:
-    """Convert a power ratio in dB to a linear power ratio.
-
-    >>> db_to_linear(10.0)
-    10.0
-    >>> db_to_linear(0.0)
-    1.0
-    """
-    return np.power(10.0, np.asarray(value_db, dtype=float) / 10.0) if isinstance(
-        value_db, np.ndarray
-    ) else 10.0 ** (value_db / 10.0)
 
 
 def linear_to_db(value_linear: ArrayLike) -> ArrayLike:
@@ -51,26 +38,6 @@ def linear_to_db(value_linear: ArrayLike) -> ArrayLike:
     if np.isscalar(value_linear) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def dbm_to_watts(value_dbm: ArrayLike) -> ArrayLike:
-    """Convert a power in dBm to watts.
-
-    >>> dbm_to_watts(30.0)
-    1.0
-    """
-    if isinstance(value_dbm, np.ndarray):
-        return np.power(10.0, (value_dbm - 30.0) / 10.0)
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(value_watts: ArrayLike) -> ArrayLike:
-    """Convert a power in watts to dBm.
-
-    >>> watts_to_dbm(1.0)
-    30.0
-    """
-    return linear_to_db(value_watts) + 30.0
 
 
 def db_sum_powers(powers_db, axis: Optional[int] = None):
@@ -102,40 +69,3 @@ def db_sum_powers(powers_db, axis: Optional[int] = None):
     if total <= 0.0:
         return -math.inf
     return 10.0 * math.log10(total)
-
-
-def db_mean_power(powers_db: Iterable[float]) -> float:
-    """Mean of powers computed in the *linear* domain, returned in dB.
-
-    Averaging dB values directly underweights strong samples; SNR
-    averages in the paper are linear-domain means.
-    """
-    values = list(powers_db)
-    if not values:
-        raise ValueError("db_mean_power() requires at least one sample")
-    finite = [10.0 ** (p / 10.0) for p in values if p != -math.inf]
-    if not finite:
-        return -math.inf
-    mean_linear = sum(finite) / len(values)
-    if mean_linear <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(mean_linear)
-
-
-def amplitude_ratio_to_db(ratio: ArrayLike) -> ArrayLike:
-    """Convert an amplitude (voltage/field) ratio to dB (20·log10)."""
-    arr = np.asarray(ratio, dtype=float)
-    out = np.full_like(arr, -np.inf)
-    mask = arr > math.sqrt(_LINEAR_FLOOR)
-    np.log10(arr, where=mask, out=out)
-    out *= 20.0
-    if np.isscalar(ratio) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def db_to_amplitude_ratio(value_db: ArrayLike) -> ArrayLike:
-    """Convert dB to an amplitude (voltage/field) ratio."""
-    if isinstance(value_db, np.ndarray):
-        return np.power(10.0, value_db / 20.0)
-    return 10.0 ** (value_db / 20.0)

@@ -44,22 +44,3 @@ def child_rng(parent: np.random.Generator, stream_id: int) -> np.random.Generato
         entropy=int(parent.integers(0, 2**32)), spawn_key=(stream_id,)
     )
     return np.random.default_rng(seed_seq)
-
-
-def spawn_streams(seed: RngLike, count: int) -> list:
-    """Create ``count`` independent generators from one experiment seed.
-
-    Unlike :func:`child_rng` this does not consume randomness from a
-    shared parent, so the i-th stream is a pure function of
-    ``(seed, i)``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        base_entropy = int(seed.integers(0, 2**63))
-    elif seed is None:
-        base_entropy = DEFAULT_SEED
-    else:
-        base_entropy = int(seed)
-    root = np.random.SeedSequence(base_entropy)
-    return [np.random.default_rng(s) for s in root.spawn(count)]

@@ -26,9 +26,6 @@ MOVR_CARRIER_HZ = 24.0e9
 #: 802.11ad channel bandwidth [Hz].
 IEEE80211AD_BANDWIDTH_HZ = 2.16e9
 
-#: Occupied (sampling) bandwidth of the 802.11ad OFDM PHY [Hz].
-IEEE80211AD_OFDM_BANDWIDTH_HZ = 1.83e9
-
 
 def wavelength(frequency_hz: float) -> float:
     """Free-space wavelength [m] for a carrier frequency [Hz].

@@ -1,42 +1,22 @@
-"""VR application layer: headset, console, traffic, QoE, power."""
+"""VR application layer: traffic, QoE, power."""
 
-from repro.vr.console import ConsoleSpec, GameConsole, corner_console
-from repro.vr.headset import RECEIVER_MOUNT_OFFSET_M, Headset
-from repro.vr.power import (
-    ANKER_ASTRO_5200,
-    PAPER_POWER_MODEL,
-    BatteryPack,
-    HeadsetPowerModel,
-    paper_runtime_claim_hours,
-)
-from repro.vr.quality import FrameOutcome, GlitchTracker, glitch_rate_from_rates
+from repro.vr.power import ANKER_ASTRO_5200, BatteryPack, HeadsetPowerModel
+from repro.vr.quality import FrameOutcome, GlitchTracker
 from repro.vr.traffic import (
     DEFAULT_TRAFFIC,
     HTC_VIVE_DISPLAY,
     DisplaySpec,
-    Frame,
     VrTrafficModel,
-    frame_schedule,
 )
 
 __all__ = [
-    "ConsoleSpec",
-    "GameConsole",
-    "corner_console",
-    "RECEIVER_MOUNT_OFFSET_M",
-    "Headset",
     "ANKER_ASTRO_5200",
-    "PAPER_POWER_MODEL",
     "BatteryPack",
     "HeadsetPowerModel",
-    "paper_runtime_claim_hours",
     "FrameOutcome",
     "GlitchTracker",
-    "glitch_rate_from_rates",
     "DEFAULT_TRAFFIC",
     "HTC_VIVE_DISPLAY",
     "DisplaySpec",
-    "Frame",
     "VrTrafficModel",
-    "frame_schedule",
 ]

@@ -32,9 +32,6 @@ class BatteryPack:
     def usable_capacity_mah(self) -> float:
         return self.capacity_mah * self.usable_fraction
 
-    @property
-    def energy_wh(self) -> float:
-        return self.capacity_mah * self.voltage_v / 1000.0
 
 
 #: The paper's example pack: Anker Astro 5200 mAh (3.8 x 1.7 x 0.9 in).
@@ -74,15 +71,3 @@ class HeadsetPowerModel:
         True
         """
         return battery.usable_capacity_mah / self.total_current_ma
-
-
-#: The paper's configuration: Vive maximum draw, battery pack above.
-PAPER_POWER_MODEL = HeadsetPowerModel()
-
-
-def paper_runtime_claim_hours() -> float:
-    """The section 6 estimate: 5200 mAh / 1500 mA with derating ~ 3.3-3.5 h
-    at *maximum* draw — the paper's "4-5 hours" assumes typical (not
-    maximum) draw, which we model as ~75% duty."""
-    typical = HeadsetPowerModel(duty_cycle=0.75)
-    return typical.runtime_hours(ANKER_ASTRO_5200)

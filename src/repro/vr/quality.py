@@ -9,7 +9,7 @@ and mean time between glitches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,6 @@ class GlitchTracker:
         duration = self.total_frames * self.frame_interval_s
         return duration / self.glitch_count
 
-    def mean_latency_s(self) -> float:
-        """Mean delivery latency over delivered frames."""
-        latencies = [o.latency_s for o in self.outcomes if o.delivered]
-        if not latencies:
-            raise ValueError("no delivered frames")
-        return sum(latencies) / len(latencies)
-
     def summary(self) -> dict:
         """All metrics, ready for the experiment report printers."""
         return {
@@ -103,18 +96,3 @@ class GlitchTracker:
             "longest_stall_s": self.longest_stall_s,
             "mtbg_s": self.mean_time_between_glitches_s,
         }
-
-
-def glitch_rate_from_rates(
-    rates_mbps: Sequence[float],
-    required_rate_mbps: float,
-) -> float:
-    """Fraction of sampling intervals where the link rate misses the VR
-    requirement — a coarse glitch proxy when frame-level simulation is
-    not needed."""
-    if not rates_mbps:
-        raise ValueError("empty rate series")
-    if required_rate_mbps <= 0.0:
-        raise ValueError("required_rate_mbps must be positive")
-    misses = sum(1 for r in rates_mbps if r < required_rate_mbps)
-    return misses / len(rates_mbps)

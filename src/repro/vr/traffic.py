@@ -10,7 +10,6 @@ display refresh rate, each of which must arrive within a deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.utils.validation import require_int, require_positive
 
@@ -88,33 +87,7 @@ class VrTrafficModel:
             return float("inf")
         return self.frame_bits / (link_rate_mbps * 1e6)
 
-    def frame_meets_deadline(self, link_rate_mbps: float) -> bool:
-        """Can a frame be delivered inside the motion-to-photon budget?"""
-        return self.frame_airtime_s(link_rate_mbps) <= self.frame_deadline_s
-
 
 #: The default VR requirement used across the experiments (~4 Gbps),
 #: matching the "required data-rate" line in Fig. 3 of the paper.
 DEFAULT_TRAFFIC = VrTrafficModel()
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One video frame emitted by the console."""
-
-    index: int
-    emit_time_s: float
-    bits: float
-
-    def deadline_s(self, model: VrTrafficModel) -> float:
-        return self.emit_time_s + model.frame_deadline_s
-
-
-def frame_schedule(model: VrTrafficModel, duration_s: float) -> List[Frame]:
-    """All frames emitted over ``duration_s`` of gameplay."""
-    require_positive(duration_s, "duration_s")
-    count = int(duration_s / model.frame_interval_s)
-    return [
-        Frame(index=i, emit_time_s=i * model.frame_interval_s, bits=model.frame_bits)
-        for i in range(count)
-    ]

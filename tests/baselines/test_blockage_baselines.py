@@ -8,12 +8,12 @@ from repro.baselines.multi_ap import (
     MultiApBaseline,
     movr_deployment_cost,
 )
-from repro.baselines.nlos_relay import DualAntennaBaseline, OptNlosBaseline
+from repro.baselines.nlos_relay import OptNlosBaseline
 from repro.baselines.static_mirror import (
     StaticMirrorBaseline,
     wall_panel,
 )
-from repro.geometry.bodies import hand_occluder, self_head_blocking
+from repro.geometry.bodies import hand_occluder
 from repro.geometry.raytrace import RayTracer
 from repro.geometry.room import standard_office
 from repro.geometry.vectors import Vec2, bearing_deg
@@ -51,52 +51,11 @@ class TestOptNlos:
         tx_angles = int(2 * ap.config.array.max_scan_deg) + 1
         rx_angles = int(2 * hs.config.array.max_scan_deg) + 1
         assert result.num_probes == tx_angles * rx_angles
-        assert result.sweep_time_s() > 0.0
 
     def test_step_validation(self, scene):
         room, budget, ap = scene
         with pytest.raises(ValueError):
             OptNlosBaseline(budget, sweep_step_deg=0.0)
-
-
-class TestDualAntenna:
-    def test_front_antenna_serves_when_facing_ap(self, scene):
-        room, budget, ap = scene
-        head = Vec2(3.0, 3.0)
-        yaw = bearing_deg(head, ap.position)
-        result = DualAntennaBaseline(budget).evaluate(
-            ap, head, yaw, headset_at(3.0, 3.0)
-        )
-        assert result.front_snr_db > result.back_snr_db
-        assert result.snr_db > 10.0
-
-    def test_back_antenna_shadowed_by_head(self, scene):
-        room, budget, ap = scene
-        head = Vec2(3.0, 3.0)
-        yaw = bearing_deg(head, ap.position) + 180.0  # facing away
-        result = DualAntennaBaseline(budget).evaluate(
-            ap, head, yaw, headset_at(3.0, 3.0)
-        )
-        # Now the "back" antenna faces the AP and wins.
-        assert result.back_snr_db > result.front_snr_db
-
-    def test_both_blocked_by_hand_and_body(self, scene):
-        """The paper's point: both antennas may get blocked."""
-        room, budget, ap = scene
-        head = Vec2(3.0, 3.0)
-        yaw = bearing_deg(head, ap.position)
-        blockers = [
-            hand_occluder(head, bearing_deg(head, ap.position)),
-            # A second person standing right behind the player.
-            self_head_blocking(head + Vec2.from_polar(0.3, yaw + 180.0), ap.position),
-        ]
-        result = DualAntennaBaseline(budget).evaluate(
-            ap, head, yaw, headset_at(3.0, 3.0), extra_occluders=blockers
-        )
-        clear = DualAntennaBaseline(budget).evaluate(
-            ap, head, yaw, headset_at(3.0, 3.0)
-        )
-        assert result.snr_db < clear.snr_db
 
 
 class TestMultiAp:
@@ -135,7 +94,6 @@ class TestMultiAp:
         ).deployment_cost()
         assert large.cable_meters > small.cable_meters
         assert large.num_transceivers > small.num_transceivers
-        assert large.hardware_cost_usd > small.hardware_cost_usd
 
     def test_movr_cost_flat(self):
         cost = movr_deployment_cost(2)

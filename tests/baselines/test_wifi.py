@@ -3,11 +3,9 @@
 import pytest
 
 from repro.baselines.wifi import (
-    BEST_CASE_WIFI,
     DEFAULT_WIFI,
     WifiConfig,
     max_wifi_goodput_mbps,
-    wifi_can_carry_vr,
     wifi_goodput_mbps,
     wifi_phy_rate_mbps,
 )
@@ -49,15 +47,8 @@ class TestRates:
 class TestTheHeadlineClaim:
     def test_wifi_cannot_carry_vr(self):
         """The paper's premise: WiFi cannot support VR's multi-Gbps."""
-        assert not wifi_can_carry_vr(4000.0, DEFAULT_WIFI)
+        assert max_wifi_goodput_mbps(DEFAULT_WIFI) < 4000.0
 
     def test_even_best_case_wifi_fails(self):
-        assert not wifi_can_carry_vr(4000.0, BEST_CASE_WIFI)
-        assert max_wifi_goodput_mbps(BEST_CASE_WIFI) < 4000.0
-
-    def test_wifi_fine_for_ordinary_traffic(self):
-        assert wifi_can_carry_vr(100.0, DEFAULT_WIFI)
-
-    def test_rate_requirement_validated(self):
-        with pytest.raises(ValueError):
-            wifi_can_carry_vr(0.0)
+        best_case = WifiConfig(bandwidth_mhz=160, spatial_streams=4)
+        assert max_wifi_goodput_mbps(best_case) < 4000.0

@@ -62,24 +62,6 @@ class TestDelivery:
         with pytest.raises(ValueError):
             link.delivery_time_s(0.0, 0)
 
-    def test_round_trip_exceeds_one_way(self):
-        link = BleLink(BleConfig(loss_rate=0.0, jitter_s=0.0), rng=0)
-        rtt = link.round_trip_time_s(0.0)
-        assert rtt >= 2 * link.config.connection_interval_s
-
-    def test_expected_latency_analytic(self):
-        cfg = BleConfig(loss_rate=0.0, jitter_s=0.0)
-        link = BleLink(cfg, rng=3)
-        expected = link.expected_one_way_latency_s()
-        # Empirical mean over random send offsets.
-        measured = np.mean(
-            [
-                link.delivery_time_s(float(x)) - float(x)
-                for x in np.random.default_rng(0).uniform(0, 1, 300)
-            ]
-        )
-        assert measured == pytest.approx(expected, rel=0.1)
-
     def test_counters(self):
         link = BleLink(BleConfig(loss_rate=0.0), rng=0)
         link.delivery_time_s(0.0)

@@ -62,15 +62,6 @@ class TestFaultSchedule:
         assert schedule.stuck_at(2.5)
         assert not schedule.link_down_at(2.5)
 
-    def test_next_link_up_chains_adjacent_windows(self):
-        schedule = FaultSchedule([down(1.0, 2.0), down(2.0, 2.5)])
-        assert schedule.next_link_up_s(1.2) == pytest.approx(2.5)
-        assert schedule.next_link_up_s(0.5) == pytest.approx(0.5)
-
-    def test_total_down_time_clipped_to_horizon(self):
-        schedule = FaultSchedule([down(1.0, 2.0), down(9.0, 12.0)])
-        assert schedule.total_down_time_s(10.0) == pytest.approx(2.0)
-
     def test_periodic_constructor(self):
         schedule = FaultSchedule.periodic(
             FaultKind.LINK_DOWN, period_s=1.0, duration_s=0.2, count=3, start_s=0.5

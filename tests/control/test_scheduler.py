@@ -13,27 +13,18 @@ class TestAirtimeScheduler:
         raw = scheduler.traffic.frame_airtime_s(scheduler.link_rate_mbps)
         assert scheduler.frame_airtime_s == pytest.approx(raw * 1.1)
 
-    def test_slack_positive_at_max_rate(self):
-        scheduler = AirtimeScheduler()
-        assert scheduler.slack_per_frame_s > 0.0
-
     def test_zero_probes_zero_impact(self):
         impact = AirtimeScheduler().search_impact(0)
         assert impact.frames_lost == 0
         assert impact.search_time_s == 0.0
-        assert not impact.disruptive
 
     def test_small_burst_fits_in_slack(self):
-        scheduler = AirtimeScheduler()
-        budget = scheduler.max_probes_without_frame_loss()
-        assert budget > 0
-        assert scheduler.search_impact(budget).frames_lost == 0
+        assert AirtimeScheduler().search_impact(100).frames_lost == 0
 
     def test_big_search_loses_frames(self):
         scheduler = AirtimeScheduler()
         impact = scheduler.search_impact(12_221)  # the paper's joint sweep
         assert impact.frames_lost >= 3
-        assert impact.disruptive
         assert impact.stall_s > 0.0
 
     def test_loss_monotone_in_probes(self):
@@ -44,11 +35,6 @@ class TestAirtimeScheduler:
     def test_negative_probes_rejected(self):
         with pytest.raises(ValueError):
             AirtimeScheduler().search_impact(-1)
-
-    def test_slow_link_has_no_slack(self):
-        scheduler = AirtimeScheduler(link_rate_mbps=4200.0)
-        # Frame barely fits its deadline: no probe budget at all.
-        assert scheduler.max_probes_without_frame_loss() < 500
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -163,7 +149,6 @@ class TestShareFrameWindow:
     def test_single_user_fits(self):
         impact = AirtimeScheduler().share_frame_window([6756.75])
         assert impact.frames_lost == 0
-        assert impact.frames_delivered == 1
         assert impact.lost_users == ()
         assert impact.utilization < 1.0
 
@@ -172,7 +157,6 @@ class TestShareFrameWindow:
         # guard overhead: two users cannot both fit one TDD window.
         impact = AirtimeScheduler().share_frame_window([6756.75, 6756.75])
         assert impact.frames_lost == 1
-        assert impact.frames_delivered == 1
         assert impact.utilization > 1.0
 
     def test_loss_grows_with_users(self):
@@ -204,7 +188,6 @@ class TestShareFrameWindow:
     def test_down_user_loses_frame(self):
         impact = AirtimeScheduler().share_frame_window([6756.75, 0.0])
         assert 1 in impact.lost_users
-        assert impact.frames_delivered == 1
 
     def test_validation(self):
         scheduler = AirtimeScheduler()

@@ -224,19 +224,3 @@ class TestControlPlaneDegradation:
         finally:
             system.mark_control_recovered("movr0")
             system.reset_link_state()
-
-    def test_attach_coordinator_wires_callbacks(self, system):
-        from repro.control.bluetooth import BleConfig, BleLink
-        from repro.control.protocol import ReflectorCoordinator
-
-        coordinator = ReflectorCoordinator(
-            system.reflectors[0],
-            BleLink(BleConfig(loss_rate=0.0, jitter_s=0.0), rng=0),
-        )
-        system.attach_coordinator(coordinator)
-        try:
-            coordinator.on_control_lost(5.0)
-            assert system.control_down == {"movr0"}
-        finally:
-            coordinator.on_control_recovered(6.0)
-        assert system.control_down == frozenset()

@@ -1,17 +1,9 @@
 """Unit tests for the pose Kalman filter."""
 
-
-import numpy as np
 import pytest
 
-from repro.core.prediction import PoseKalmanFilter, prediction_error_deg
-from repro.geometry.mobility import (
-    PoseSample,
-    VrPlayerMotion,
-    head_turn_trace,
-    linear_walk_trace,
-)
-from repro.geometry.room import rectangular_room
+from repro.core.prediction import PoseKalmanFilter
+from repro.geometry.mobility import PoseSample, head_turn_trace, linear_walk_trace
 from repro.geometry.vectors import Vec2
 
 
@@ -23,7 +15,6 @@ def feed(kf, trace):
 class TestFilterBasics:
     def test_uninitialized_raises(self):
         kf = PoseKalmanFilter()
-        assert not kf.initialized
         with pytest.raises(RuntimeError):
             kf.predict(0.01)
         with pytest.raises(RuntimeError):
@@ -32,7 +23,6 @@ class TestFilterBasics:
     def test_first_sample_initializes(self):
         kf = PoseKalmanFilter()
         kf.update(PoseSample(0.0, Vec2(1, 2), 30.0))
-        assert kf.initialized
         predicted = kf.predict(0.0)
         assert predicted.position.x == pytest.approx(1.0, abs=1e-6)
         assert predicted.yaw_deg == pytest.approx(30.0, abs=1e-6)
@@ -75,7 +65,8 @@ class TestConstantVelocityTracking:
         trace = head_turn_trace(Vec2(1, 1), 0.0, 90.0, duration_s=1.0)
         kf = PoseKalmanFilter()
         feed(kf, trace)
-        assert kf.yaw_rate_deg_s == pytest.approx(90.0, abs=10.0)
+        # 90 deg/s learned: a 0.1 s prediction turns ~9 degrees past 90.
+        assert kf.predict(0.1).yaw_deg == pytest.approx(99.0, abs=1.0)
 
     def test_predicts_through_wrap(self):
         # Rotation crossing the +/-180 boundary must not glitch.
@@ -99,12 +90,3 @@ class TestConstantVelocityTracking:
         hold_error = abs(truth.yaw_deg - last_fed.yaw_deg)
         kalman_error = abs(truth.yaw_deg - predicted.yaw_deg)
         assert kalman_error < hold_error / 2.0
-
-
-class TestPredictionErrorHelper:
-    def test_errors_small_on_gentle_motion(self):
-        room = rectangular_room(5.0, 5.0)
-        trace = VrPlayerMotion(room, seed=0).generate(5.0)
-        errors = prediction_error_deg(0.02, trace, anchor=Vec2(0.3, 0.3))
-        assert errors
-        assert float(np.mean(errors)) < 2.0

@@ -96,12 +96,6 @@ class TestStats:
         assert stats.probes >= 2
         assert stats.refines + stats.full_searches >= 1
 
-    def test_current_angle_tracks(self):
-        tracker = PoseAssistedTracker(anchor_position=Vec2(0, 0))
-        assert tracker.current_angle_deg is None
-        tracker.update(0.0, Vec2(0, 3), gaussian_beam_snr(90.0))
-        assert tracker.current_angle_deg == pytest.approx(90.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PoseAssistedTracker(Vec2(0, 0), refine_span_deg=0.0)

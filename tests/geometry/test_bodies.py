@@ -61,13 +61,6 @@ class TestPersonModel:
         radii = sorted(o.radius for o in occluders)
         assert radii == sorted([TORSO_RADIUS_M, HEAD_RADIUS_M])
 
-    def test_advanced_moves_along_heading(self):
-        person = PersonModel(position=Vec2(0, 0), heading_deg=90.0)
-        moved = person.advanced(2.0)
-        assert moved.position.x == pytest.approx(0.0, abs=1e-9)
-        assert moved.position.y == pytest.approx(2.0)
-        assert moved.heading_deg == 90.0
-
     def test_person_blocking_path_sits_on_the_line(self):
         tx, rx = Vec2(0, 0), Vec2(4, 0)
         person = person_blocking_path(tx, rx, fraction=0.25)

@@ -15,18 +15,6 @@ from repro.geometry.room import rectangular_room
 from repro.geometry.vectors import Vec2
 
 
-class TestPoseSample:
-    def test_receiver_offset_along_yaw(self):
-        pose = PoseSample(time_s=0.0, position=Vec2(1, 1), yaw_deg=90.0)
-        rx = pose.receiver_position(0.1)
-        assert rx.x == pytest.approx(1.0, abs=1e-9)
-        assert rx.y == pytest.approx(1.1)
-
-    def test_zero_offset_is_position(self):
-        pose = PoseSample(time_s=0.0, position=Vec2(1, 1), yaw_deg=33.0)
-        assert pose.receiver_position(0.0) == Vec2(1, 1)
-
-
 class TestMotionTrace:
     def test_requires_samples(self):
         with pytest.raises(ValueError):

@@ -67,10 +67,6 @@ class TestLineOfSight:
         )
         assert not path.is_obstructed
 
-    def test_propagation_delay(self, tracer):
-        path = tracer.line_of_sight(Vec2(1, 1), Vec2(4, 1))
-        assert path.propagation_delay_s() == pytest.approx(3.0 / 299_792_458.0)
-
 
 class TestSingleBounce:
     def test_four_walls_give_four_paths(self, tracer):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.geometry.room import (
-    CONCRETE,
     DRYWALL,
     GLASS,
     METAL,
@@ -27,7 +26,7 @@ class TestWallMaterial:
         assert METAL.reflection_loss_db < DRYWALL.reflection_loss_db
 
     def test_glass_partially_penetrable(self):
-        assert GLASS.penetration_loss_db < CONCRETE.penetration_loss_db
+        assert GLASS.penetration_loss_db < DRYWALL.penetration_loss_db
 
 
 class TestRoom:

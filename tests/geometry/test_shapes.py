@@ -21,7 +21,6 @@ class TestSegment:
         seg = Segment(Vec2(0, 0), Vec2(4, 0))
         assert seg.length == 4.0
         assert seg.direction == Vec2(1, 0)
-        assert seg.midpoint == Vec2(2, 0)
         assert seg.normal == Vec2(0, 1)
 
     def test_point_at(self):
@@ -144,13 +143,6 @@ class TestAxisAlignedBox:
         box = AxisAlignedBox(Vec2(0, 0), Vec2(1, 1))
         assert box.contains(Vec2(0.5, 0.5))
         assert not box.contains(Vec2(1.5, 0.5))
-
-    def test_edges_form_loop(self):
-        box = AxisAlignedBox(Vec2(0, 0), Vec2(1, 1))
-        edges = box.edges()
-        assert len(edges) == 4
-        for first, second in zip(edges, edges[1:] + edges[:1]):
-            assert first.b.distance_to(second.a) < 1e-9
 
     def test_segment_through_box(self):
         box = AxisAlignedBox(Vec2(0, 0), Vec2(1, 1))

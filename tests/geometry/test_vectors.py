@@ -74,10 +74,6 @@ class TestGeometry:
     def test_distance(self):
         assert Vec2(0, 0).distance_to(Vec2(3, 4)) == 5.0
 
-    @given(vectors, st.floats(min_value=-360.0, max_value=360.0))
-    def test_rotation_preserves_norm(self, v, angle):
-        assert v.rotated(angle).norm == pytest.approx(v.norm, abs=1e-6)
-
     @given(nonzero_vectors)
     def test_from_polar_round_trip(self, v):
         rebuilt = Vec2.from_polar(v.norm, v.angle_deg())

@@ -45,11 +45,6 @@ class TestCodebook:
         with pytest.raises(ValueError):
             Codebook(angles_deg=())
 
-    def test_nearest(self):
-        cb = Codebook.uniform(0.0, 10.0, 2.0)
-        assert cb.nearest(5.1) == 6.0
-        assert cb.nearest(-3.0) == 0.0
-
 
 class TestExhaustiveSweep:
     def test_finds_planted_peak(self):

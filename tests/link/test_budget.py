@@ -1,7 +1,5 @@
 """Unit tests for the link-budget engine."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,20 +178,3 @@ class TestBestAlignment:
         # cannot happen geometrically, so exercise the guard directly.
         measurement = budget.best_alignment(tx, rx, include_los=False, max_bounces=1)
         assert isinstance(measurement, LinkMeasurement)
-
-
-class TestLinkMeasurement:
-    def test_outage_flag(self):
-        m = LinkMeasurement(
-            received_power_dbm=-math.inf,
-            snr_db=-math.inf,
-            dominant_path=None,
-            tx_steer_deg=0.0,
-            rx_steer_deg=0.0,
-        )
-        assert m.in_outage
-
-    def test_not_outage(self, setup):
-        budget, tx, rx = setup
-        best = budget.best_alignment(tx, rx)
-        assert not best.in_outage

@@ -15,7 +15,7 @@ class TestScheduling:
         sim.schedule(2.0, lambda s: order.append("b"))
         sim.schedule(1.0, lambda s: order.append("a"))
         sim.schedule(3.0, lambda s: order.append("c"))
-        sim.run()
+        sim.run_until(3.0)
         assert order == ["a", "b", "c"]
 
     def test_ties_run_in_scheduling_order(self):
@@ -23,14 +23,14 @@ class TestScheduling:
         order = []
         for label in "abc":
             sim.schedule(1.0, lambda s, l=label: order.append(l))
-        sim.run()
+        sim.run_until(1.0)
         assert order == ["a", "b", "c"]
 
     def test_now_advances(self):
         sim = Simulator()
         seen = []
         sim.schedule(1.5, lambda s: seen.append(s.now))
-        sim.run()
+        sim.run_until(1.5)
         assert seen == [1.5]
 
     def test_negative_delay_rejected(self):
@@ -39,20 +39,6 @@ class TestScheduling:
             sim.schedule(-1.0, lambda s: None)
         with pytest.raises(ValueError):
             sim.schedule(math.nan, lambda s: None)
-
-    def test_schedule_at_absolute(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(2.0, lambda s: seen.append(s.now))
-        sim.run()
-        assert seen == [2.0]
-
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda s: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule_at(0.5, lambda s: None)
 
     def test_callbacks_can_schedule(self):
         sim = Simulator()
@@ -63,27 +49,9 @@ class TestScheduling:
             s.schedule(1.0, lambda s2: order.append("second"))
 
         sim.schedule(1.0, first)
-        sim.run()
+        sim.run_until(2.0)
         assert order == ["first", "second"]
         assert sim.now == 2.0
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.schedule(1.0, lambda s: seen.append("x"))
-        handle.cancel()
-        sim.run()
-        assert seen == []
-        assert handle.cancelled
-
-    def test_pending_count_excludes_cancelled(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda s: None)
-        handle = sim.schedule(2.0, lambda s: None)
-        handle.cancel()
-        assert sim.pending_events == 1
 
 
 class TestRunUntil:
@@ -137,7 +105,7 @@ class TestPeriodic:
         sim = Simulator()
         sim.schedule(1.0, lambda s: None)
         sim.schedule(2.0, lambda s: None)
-        sim.run()
+        sim.run_until(2.0)
         assert sim.events_processed == 2
 
 
@@ -148,6 +116,6 @@ class TestPropertyBased:
         fired = []
         for d in delays:
             sim.schedule(d, lambda s: fired.append(s.now))
-        sim.run()
+        sim.run_until(100.0)
         assert fired == sorted(fired)
         assert len(fired) == len(delays)

@@ -46,12 +46,6 @@ class TestRadio:
         achieved = radio.steer_to(100.0)
         assert achieved == pytest.approx(radio.config.array.max_scan_deg)
 
-    def test_eirp(self):
-        radio = Radio(Vec2(0, 0), boresight_deg=0.0)
-        radio.steer_to(0.0)
-        expected = radio.config.tx_power_dbm + radio.config.array.boresight_gain_dbi
-        assert radio.eirp_dbm(0.0) == pytest.approx(expected)
-
     def test_boresight_rotation_preserves_steering(self):
         radio = Radio(Vec2(0, 0), boresight_deg=0.0)
         radio.steer_to(30.0)
@@ -64,14 +58,6 @@ class TestRadio:
         radio.boresight_deg = -130.0
         # 50 degrees absolute is now unreachable; beam recentred.
         assert radio.steering_deg == pytest.approx(-130.0)
-
-    def test_moved_to_copies(self):
-        radio = Radio(Vec2(0, 0), boresight_deg=10.0, name="a")
-        clone = radio.moved_to(Vec2(1, 1))
-        assert clone.position == Vec2(1, 1)
-        assert clone.boresight_deg == 10.0
-        assert clone.name == "a"
-        assert clone is not radio
 
     def test_repr_contains_name(self):
         radio = Radio(Vec2(0, 0), boresight_deg=0.0, name="ap-1")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.phy.antenna import (
     MOVR_ARRAY,
     MultiPanelArray,
-    OmniAntenna,
     PhasedArray,
     PhasedArrayConfig,
 )
@@ -167,12 +166,3 @@ class TestMultiPanelArray:
         array = MultiPanelArray(config, boresight_deg=0.0)
         gain = array.gain_dbi(170.0, steer_override_deg=170.0)
         assert gain > config.boresight_gain_dbi - 6.0
-
-
-class TestOmniAntenna:
-    def test_constant_gain(self):
-        omni = OmniAntenna(gain_dbi_value=2.0)
-        assert omni.gain_dbi(0.0) == 2.0
-        assert omni.gain_dbi(137.0) == 2.0
-        assert omni.can_steer_to(360.0)
-        assert omni.steer_to(45.0) == 45.0

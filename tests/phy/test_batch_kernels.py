@@ -21,7 +21,6 @@ from repro.phy.amplifier import (
 from repro.phy.antenna import (
     MOVR_ARRAY,
     MultiPanelArray,
-    OmniAntenna,
     PhasedArray,
     PhasedArrayConfig,
 )
@@ -84,16 +83,6 @@ class TestMultiPanelBatch:
         batch = array.steer_to_batch(np.asarray(targets))
         for k, target in enumerate(targets):
             assert abs(batch[k] - array.steer_to(target)) <= TOL_DB
-
-
-class TestOmniBatch:
-    @given(angle_lists, angle_lists)
-    @settings(max_examples=20, deadline=None)
-    def test_flat_gain(self, toward, steer):
-        omni = OmniAntenna()
-        grid = omni.gain_dbi_batch(np.asarray(toward)[:, None], np.asarray(steer)[None, :])
-        assert grid.shape == (len(toward), len(steer))
-        assert np.all(np.abs(grid - omni.gain_dbi(toward[0])) <= TOL_DB)
 
 
 class TestClosedLoopBatch:

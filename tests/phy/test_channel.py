@@ -1,8 +1,5 @@
 """Unit tests for the mmWave channel model."""
 
-import cmath
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,22 +97,6 @@ class TestMmWaveChannel:
         path = tracer.line_of_sight(Vec2(1, 1), Vec2(4, 1))
         gains = [channel.path_gain_db(path) for _ in range(200)]
         assert np.std(gains) == pytest.approx(3.0, abs=0.5)
-
-    def test_complex_gain_magnitude_matches_db(self, setup):
-        tracer, channel = setup
-        path = tracer.line_of_sight(Vec2(1, 1), Vec2(4, 1))
-        h = channel.complex_gain(path)
-        gain_db = channel.path_gain_db(path)
-        assert 20.0 * math.log10(abs(h)) == pytest.approx(gain_db, abs=1e-6)
-
-    def test_complex_gain_phase_tracks_length(self, setup):
-        tracer, channel = setup
-        h1 = channel.complex_gain(tracer.line_of_sight(Vec2(1, 1), Vec2(4, 1)))
-        # Half a wavelength further: phase flips by pi.
-        d = 3.0 + channel.wavelength_m / 2.0
-        h2 = channel.complex_gain(tracer.line_of_sight(Vec2(1, 1), Vec2(1 + d, 1)))
-        phase_diff = cmath.phase(h2 / h1)
-        assert abs(abs(phase_diff) - math.pi) < 0.01
 
     def test_blockage_model_carrier_synchronized(self):
         channel = MmWaveChannel(carrier_hz=60.0e9)

@@ -5,12 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.phy.noise import (
-    DEFAULT_RECEIVER_NOISE,
-    ReceiverNoise,
-    friis_cascade_nf_db,
-    relay_path_snr_db,
-)
+from repro.phy.noise import ReceiverNoise, relay_path_snr_db
 
 
 class TestReceiverNoise:
@@ -23,46 +18,13 @@ class TestReceiverNoise:
         assert rx.snr_db(-50.0) == pytest.approx(rx.noise_floor_dbm * -1 - 50.0)
 
     def test_default_instance(self):
-        assert DEFAULT_RECEIVER_NOISE.noise_figure_db == 6.0
+        assert ReceiverNoise().noise_figure_db == 6.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ReceiverNoise(bandwidth_hz=0.0)
         with pytest.raises(ValueError):
             ReceiverNoise(noise_figure_db=-1.0)
-
-
-class TestFriisCascade:
-    def test_single_stage(self):
-        assert friis_cascade_nf_db([(5.0, 20.0)]) == pytest.approx(5.0)
-
-    def test_front_end_dominates(self):
-        # A high-gain low-noise front end hides a noisy second stage.
-        nf = friis_cascade_nf_db([(3.0, 30.0), (15.0, 10.0)])
-        assert nf == pytest.approx(3.07, abs=0.05)
-
-    def test_noisy_front_end_hurts(self):
-        good_first = friis_cascade_nf_db([(3.0, 20.0), (10.0, 10.0)])
-        bad_first = friis_cascade_nf_db([(10.0, 20.0), (3.0, 10.0)])
-        assert bad_first > good_first
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            friis_cascade_nf_db([])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=15.0),
-                st.floats(min_value=0.0, max_value=40.0),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_cascade_at_least_first_stage(self, stages):
-        nf = friis_cascade_nf_db(stages)
-        assert nf >= stages[0][0] - 1e-9
 
 
 class TestRelaySnr:

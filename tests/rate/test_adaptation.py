@@ -10,7 +10,6 @@ from repro.rate.mcs import Mcs, PhyType, mcs_by_index
 class TestRateAdapter:
     def test_initial_state_idle(self):
         adapter = RateAdapter()
-        assert adapter.current_mcs is None
         assert adapter.current_rate_mbps == 0.0
 
     def test_first_observation_selects(self):
@@ -48,14 +47,12 @@ class TestRateAdapter:
     def test_outage_drops_everything(self):
         adapter = RateAdapter()
         adapter.observe(25.0)
-        adapter.observe(-30.0)
-        assert adapter.current_mcs is None
+        assert adapter.observe(-30.0) is None
         assert adapter.current_rate_mbps == 0.0
 
     def test_margin_respected(self):
         adapter = RateAdapter(margin_db=3.0)
-        adapter.observe(20.0)
-        assert adapter.current_mcs.snr_threshold_db <= 17.0
+        assert adapter.observe(20.0).snr_threshold_db <= 17.0
 
     def test_run_series(self):
         adapter = RateAdapter()
@@ -67,7 +64,7 @@ class TestRateAdapter:
         adapter = RateAdapter()
         adapter.observe(25.0)
         adapter.reset()
-        assert adapter.current_mcs is None
+        assert adapter.current_rate_mbps == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,22 +96,18 @@ class TestEqualRateSidestep:
     def test_equal_rate_phy_adopted_after_dwell(self):
         adapter = self._adapter_on_synthetic_twin(up_dwell=3)
         adapter.observe(self.SNR_DB)
-        adapter.observe(self.SNR_DB)
-        assert adapter.current_mcs.index == 99  # dwell not yet served
-        adapter.observe(self.SNR_DB)
-        assert adapter.current_mcs == mcs_by_index(12)
+        assert adapter.observe(self.SNR_DB).index == 99  # dwell not yet served
+        assert adapter.observe(self.SNR_DB) == mcs_by_index(12)
 
     def test_equal_rate_switch_keeps_hysteresis(self):
         adapter = self._adapter_on_synthetic_twin(up_dwell=4)
-        for _ in range(3):
-            adapter.observe(self.SNR_DB)
-        assert adapter.current_mcs.index == 99
+        held = [adapter.observe(self.SNR_DB) for _ in range(3)]
+        assert held[-1].index == 99
 
     def test_equal_rate_switch_emits_no_rate_change(self):
         adapter = self._adapter_on_synthetic_twin(up_dwell=1)
         with telemetry.scope("t") as sc:
-            adapter.observe(self.SNR_DB, t_s=0.0)
-        assert adapter.current_mcs == mcs_by_index(12)
+            assert adapter.observe(self.SNR_DB, t_s=0.0) == mcs_by_index(12)
         assert not [
             e for e in sc.events if e.kind is telemetry.EventKind.RATE_CHANGE
         ]
@@ -123,12 +116,10 @@ class TestEqualRateSidestep:
         # Observing the currently-held MCS must keep resetting the
         # counter (the collapsed conditional's final branch).
         adapter = RateAdapter(up_dwell=2)
-        adapter.observe(self.SNR_DB)
-        assert adapter.current_mcs == mcs_by_index(12)
+        assert adapter.observe(self.SNR_DB) == mcs_by_index(12)
         adapter.observe(30.0)  # 1 toward the dwell
         adapter.observe(self.SNR_DB)  # back to the held MCS: reset
-        adapter.observe(30.0)  # 1 again, not 2
-        assert adapter.current_mcs == mcs_by_index(12)
+        assert adapter.observe(30.0) == mcs_by_index(12)  # 1 again, not 2
 
 
 class TestSeriesPrefix:

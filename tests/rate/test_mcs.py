@@ -47,9 +47,6 @@ class TestTableContents:
         with pytest.raises(KeyError):
             mcs_by_index(99)
 
-    def test_gbps_property(self):
-        assert mcs_by_index(12).data_rate_gbps == pytest.approx(4.62)
-
 
 class TestBestMcsForSnr:
     def test_deep_outage_returns_none(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.instruments import Counter, Gauge, Histogram
+from repro.telemetry.instruments import Counter, Histogram
 
 # Bounded magnitude so exact aggregates (total) cannot overflow.
 finite_floats = st.floats(
@@ -36,14 +36,6 @@ class TestCounterGauge:
         c.inc()
         c.inc(4)
         assert c.value == 5
-
-    def test_gauge_last_writer_wins(self):
-        g = Gauge("g")
-        assert not g.updated
-        g.set(1.5)
-        g.set(-2.0)
-        assert g.updated
-        assert g.value == -2.0
 
 
 class TestHistogramQuantiles:

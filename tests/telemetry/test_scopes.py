@@ -39,13 +39,6 @@ class TestPropagation:
             assert h.count == 2
             assert sorted(h.samples) == [1.0, 3.0]
 
-    def test_gauges_last_writer_wins(self):
-        with telemetry.scope("outer") as outer:
-            telemetry.set_gauge("g", 1.0)
-            with telemetry.scope("inner"):
-                telemetry.set_gauge("g", 9.0)
-            assert outer.registry.gauge("g").value == 9.0
-
     def test_events_append_to_parent(self):
         with telemetry.scope("outer") as outer:
             telemetry.emit(telemetry.EventKind.HANDOFF, t_s=1.0, via="movr0")
@@ -79,10 +72,10 @@ class TestPropagation:
             assert series.maximum == 20.0
 
     def test_scope_pops_even_on_exception(self):
-        before = telemetry.current_scope()
+        before = telemetry.metrics()
         try:
             with telemetry.scope("oops"):
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert telemetry.current_scope() is before
+        assert telemetry.metrics() is before

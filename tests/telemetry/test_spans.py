@@ -17,7 +17,6 @@ class TestTracer:
         tracer.finish(a)
         assert [s.name for s in tracer.roots] == ["a"]
         assert [s.name for s in a.children] == ["b", "c"]
-        assert tracer.num_spans == 3
 
     def test_durations_are_set_and_ordered(self):
         tracer = Tracer()

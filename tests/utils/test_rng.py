@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import DEFAULT_SEED, child_rng, make_rng, spawn_streams
+from repro.utils.rng import DEFAULT_SEED, child_rng, make_rng
 
 
 class TestMakeRng:
@@ -41,30 +41,3 @@ class TestChildRng:
     def test_negative_stream_id_rejected(self):
         with pytest.raises(ValueError):
             child_rng(make_rng(0), -1)
-
-
-class TestSpawnStreams:
-    def test_count(self):
-        assert len(spawn_streams(1, 5)) == 5
-
-    def test_streams_independent_of_count(self):
-        # Stream i must not change when more streams are requested.
-        few = spawn_streams(9, 2)
-        many = spawn_streams(9, 6)
-        assert few[1].integers(0, 1 << 30) == many[1].integers(0, 1 << 30)
-
-    def test_streams_differ_from_each_other(self):
-        streams = spawn_streams(4, 3)
-        draws = [s.integers(0, 1 << 30) for s in streams]
-        assert len(set(draws)) == 3
-
-    def test_zero_count(self):
-        assert spawn_streams(1, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_streams(1, -1)
-
-    def test_none_seed_supported(self):
-        streams = spawn_streams(None, 2)
-        assert len(streams) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import EmpiricalCdf, RunningStats, SummaryStats
+from repro.utils.stats import EmpiricalCdf
 
 samples_strategy = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50
@@ -38,10 +38,6 @@ class TestEmpiricalCdf:
         assert cdf.minimum == 10.0
         assert cdf.maximum == 30.0
 
-    def test_fraction_below(self):
-        cdf = EmpiricalCdf.from_samples([1.0, 2.0, 3.0, 4.0])
-        assert cdf.fraction_below(3.0) == pytest.approx(0.5)
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             EmpiricalCdf.from_samples([])
@@ -74,59 +70,3 @@ class TestEmpiricalCdf:
         cdf = EmpiricalCdf.from_samples(samples)
         expected = sum(1 for s in samples if s <= x) / len(samples)
         assert cdf.evaluate(x) == pytest.approx(expected)
-
-
-class TestSummaryStats:
-    def test_known_values(self):
-        stats = SummaryStats.from_samples([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.median == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            SummaryStats.from_samples([])
-
-    def test_as_row_keys(self):
-        row = SummaryStats.from_samples([1.0]).as_row()
-        assert set(row) == {"count", "mean", "std", "min", "p25", "median", "p75", "max"}
-
-    @given(samples_strategy)
-    def test_ordering_invariants(self, samples):
-        stats = SummaryStats.from_samples(samples)
-        assert stats.minimum <= stats.p25 <= stats.median <= stats.p75 <= stats.maximum
-        # Tolerance: summing floats can put the mean 1 ulp outside.
-        span = max(1e-9, abs(stats.maximum) * 1e-12)
-        assert stats.minimum - span <= stats.mean <= stats.maximum + span
-
-
-class TestRunningStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(5.0, 2.0, 500)
-        running = RunningStats()
-        for x in data:
-            running.push(float(x))
-        assert running.mean == pytest.approx(float(np.mean(data)), rel=1e-9)
-        assert running.std == pytest.approx(float(np.std(data, ddof=1)), rel=1e-6)
-        assert running.minimum == pytest.approx(float(np.min(data)))
-        assert running.maximum == pytest.approx(float(np.max(data)))
-
-    def test_single_sample(self):
-        running = RunningStats()
-        running.push(3.0)
-        assert running.mean == 3.0
-        assert running.variance == 0.0
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            RunningStats().mean
-
-    @given(samples_strategy)
-    def test_count_tracks_pushes(self, samples):
-        running = RunningStats()
-        for s in samples:
-            running.push(s)
-        assert running.count == len(samples)

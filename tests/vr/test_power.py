@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.vr.power import (
-    ANKER_ASTRO_5200,
-    PAPER_POWER_MODEL,
-    BatteryPack,
-    HeadsetPowerModel,
-    paper_runtime_claim_hours,
-)
+from repro.vr.power import ANKER_ASTRO_5200, BatteryPack, HeadsetPowerModel
 
 
 class TestBatteryPack:
@@ -18,10 +12,6 @@ class TestBatteryPack:
     def test_usable_capacity_derated(self):
         assert ANKER_ASTRO_5200.usable_capacity_mah < 5200.0
 
-    def test_energy(self):
-        pack = BatteryPack(capacity_mah=1000.0, voltage_v=5.0)
-        assert pack.energy_wh == pytest.approx(5.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BatteryPack(capacity_mah=0.0)
@@ -30,13 +20,9 @@ class TestBatteryPack:
 
 
 class TestHeadsetPowerModel:
-    def test_paper_claim_4_to_5_hours(self):
-        """Section 6: a 5200 mAh pack runs the headset 4-5 hours."""
-        assert 3.5 <= paper_runtime_claim_hours() <= 5.5
-
     def test_max_draw_runtime(self):
         # At the full 1500 mA the same pack gives ~3.3 h.
-        assert PAPER_POWER_MODEL.runtime_hours(ANKER_ASTRO_5200) == pytest.approx(
+        assert HeadsetPowerModel().runtime_hours(ANKER_ASTRO_5200) == pytest.approx(
             3.29, abs=0.1
         )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.vr.quality import FrameOutcome, GlitchTracker, glitch_rate_from_rates
+from repro.vr.quality import FrameOutcome, GlitchTracker
 
 
 def delivered(index, t, latency=0.005):
@@ -56,12 +56,6 @@ class TestGlitchTracker:
         tracker = self.make_tracker([True, False] * 5)
         assert tracker.mean_time_between_glitches_s == pytest.approx(0.02)
 
-    def test_mean_latency(self):
-        tracker = GlitchTracker(frame_interval_s=0.01)
-        tracker.record(delivered(0, 0.0, 0.004))
-        tracker.record(delivered(1, 0.01, 0.006))
-        assert tracker.mean_latency_s() == pytest.approx(0.005)
-
     def test_out_of_order_rejected(self):
         tracker = self.make_tracker([True])
         with pytest.raises(ValueError):
@@ -71,8 +65,6 @@ class TestGlitchTracker:
         tracker = GlitchTracker(frame_interval_s=0.01)
         with pytest.raises(ValueError):
             tracker.glitch_rate
-        with pytest.raises(ValueError):
-            tracker.mean_latency_s()
 
     def test_summary_keys(self):
         summary = self.make_tracker([True, False]).summary()
@@ -87,15 +79,3 @@ class TestGlitchTracker:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             GlitchTracker(frame_interval_s=0.0)
-
-
-class TestGlitchRateFromRates:
-    def test_basic(self):
-        rates = [5000.0, 3000.0, 5000.0, 1000.0]
-        assert glitch_rate_from_rates(rates, 4000.0) == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            glitch_rate_from_rates([], 4000.0)
-        with pytest.raises(ValueError):
-            glitch_rate_from_rates([100.0], 0.0)

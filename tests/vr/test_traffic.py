@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.vr.traffic import (
-    DEFAULT_TRAFFIC,
-    HTC_VIVE_DISPLAY,
-    DisplaySpec,
-    VrTrafficModel,
-    frame_schedule,
-)
+from repro.vr.traffic import DEFAULT_TRAFFIC, HTC_VIVE_DISPLAY, DisplaySpec, VrTrafficModel
 
 
 class TestDisplaySpec:
@@ -51,34 +45,8 @@ class TestVrTrafficModel:
         airtime = DEFAULT_TRAFFIC.frame_airtime_s(rate)
         assert airtime <= DEFAULT_TRAFFIC.frame_interval_s
 
-    def test_deadline_missed_at_low_rate(self):
-        assert not DEFAULT_TRAFFIC.frame_meets_deadline(1000.0)
-
-    def test_deadline_met_at_max_80211ad(self):
-        assert DEFAULT_TRAFFIC.frame_meets_deadline(6756.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             VrTrafficModel(frame_deadline_s=0.0)
         with pytest.raises(ValueError):
             VrTrafficModel(packing_efficiency=0.0)
-
-
-class TestFrameSchedule:
-    def test_count_and_spacing(self):
-        frames = frame_schedule(DEFAULT_TRAFFIC, duration_s=1.0)
-        assert len(frames) == 90
-        assert frames[1].emit_time_s - frames[0].emit_time_s == pytest.approx(
-            1.0 / 90.0
-        )
-
-    def test_frame_deadline(self):
-        frames = frame_schedule(DEFAULT_TRAFFIC, duration_s=0.1)
-        f = frames[0]
-        assert f.deadline_s(DEFAULT_TRAFFIC) == pytest.approx(
-            f.emit_time_s + 0.010
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            frame_schedule(DEFAULT_TRAFFIC, duration_s=0.0)
