@@ -154,9 +154,10 @@ class BackscatterAngleSearch:
         arrays' scan clipping and quantization, but the reflector's
         beams are never set.  The echo power separates into an AP term
         and a reflector term, so the amplitude is their broadcast
-        product: the dB-to-linear work is O(A + R), not O(A * R).
+        product: the dB-to-linear work is O(A + R), not O(A * R).  The
+        amplifier runs at the search gain as a trial value, so its
+        commanded gain is never changed either.
         """
-        self.reflector.amplifier.set_gain_db(self.search_gain_db)
         ap_gain = self.ap.array.gain_dbi_batch(
             self._bearing_ap_to_refl, np.asarray(ap_steer_deg, dtype=float)
         )
@@ -168,6 +169,7 @@ class BackscatterAngleSearch:
             self._bearing_refl_to_ap,
             rx_steer_azimuth_deg=refl_azimuth,
             tx_steer_azimuth_deg=refl_azimuth,
+            gain_db=self.search_gain_db,
         )
         # NaN marks an unstable loop: the saturated broadband output is
         # mostly rejected by the sideband filter — model a weak echo.
@@ -314,10 +316,10 @@ class ReflectionAngleSearch:
     ) -> np.ndarray:
         """Probes of the outgoing-beam sweep over broadcast grids.
 
-        One probe per entry; the reflector's beams are left as they
-        are (trial steerings go through the state-free batch kernels).
+        One probe per entry; the reflector's beams and gain are left as
+        they are (trial steerings and the search gain go through the
+        state-free batch kernels).
         """
-        self.reflector.amplifier.set_gain_db(self.search_gain_db)
         tx_azimuth = self.reflector.prototype_to_azimuth(
             np.asarray(reflector_tx_proto_deg, dtype=float)
         )
@@ -326,6 +328,7 @@ class ReflectionAngleSearch:
             self._bearing_refl_to_hs,
             rx_steer_azimuth_deg=self._bearing_refl_to_ap,
             tx_steer_azimuth_deg=tx_azimuth,
+            gain_db=self.search_gain_db,
         )
         through = np.where(np.isnan(through), 0.0, through)
         ap_gain = self.ap.tx_gain_dbi(

@@ -256,6 +256,7 @@ class MoVRReflector:
         to_azimuth_deg,
         rx_steer_azimuth_deg=None,
         tx_steer_azimuth_deg=None,
+        gain_db: Optional[float] = None,
     ) -> np.ndarray:
         """End-to-end power gain of the reflector between two directions.
 
@@ -264,7 +265,9 @@ class MoVRReflector:
         direction, over broadcast grids of directions and trial beam
         settings.  ``rx_steer_azimuth_deg``/``tx_steer_azimuth_deg``
         default to the current beam state; passing arrays sweeps
-        candidate steerings without mutating the reflector.  Entries
+        candidate steerings without mutating the reflector.
+        ``gain_db`` is a trial amplifier gain (clipped and quantized as
+        a gain command would be; default: the current gain).  Entries
         whose leakage would make the loop unstable come back as ``NaN``
         — callers decide what an oscillating probe is worth.
         """
@@ -280,7 +283,11 @@ class MoVRReflector:
             self.azimuth_to_prototype_batch(achieved_tx),
             self.azimuth_to_prototype_batch(achieved_rx),
         )
-        effective = closed_loop_gain_db_batch(self.amplifier.gain_db, leak)
+        if gain_db is None:
+            gain_db = self.amplifier.gain_db
+        else:
+            gain_db = self.amplifier.achievable_gain_db(gain_db)
+        effective = closed_loop_gain_db_batch(gain_db, leak)
         return rx_gain + effective + tx_gain
 
     def __repr__(self) -> str:

@@ -77,9 +77,11 @@ def run_search_airtime(seed: RngLike = None) -> ExperimentReport:
         codebook=codebook,
     )
     install_sweep_s = coordinator.elapsed_s
-    # The probes never steer the reflector; the hardware holds the last beam.
+    # The probes never steer the reflector or command its gain; the
+    # hardware holds the last beam of the sweep at the search gain.
     last = reflector.prototype_to_azimuth(codebook.angles_deg[-1])
     reflector.set_beams(last, last)
+    reflector.amplifier.set_gain_db(search.search_gain_db)
     coordinator.run_gain_calibration(input_power_dbm=-48.0)
     install_total_s = coordinator.elapsed_s
     truth = reflector.azimuth_to_prototype(search._bearing_refl_to_ap)

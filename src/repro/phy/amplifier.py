@@ -79,13 +79,18 @@ class VariableGainAmplifier:
         """The currently commanded (small-signal) gain."""
         return self._gain_db
 
-    def set_gain_db(self, gain_db: float) -> float:
-        """Command a gain; returns the achieved (quantized) value."""
+    def achievable_gain_db(self, gain_db: float) -> float:
+        """The gain a command of ``gain_db`` would achieve (clipped and
+        quantized), without commanding it."""
         require_finite(gain_db, "gain_db")
         clipped = max(self.spec.min_gain_db, min(self.spec.max_gain_db, gain_db))
         steps = round((clipped - self.spec.min_gain_db) / self.spec.gain_step_db)
-        self._gain_db = self.spec.min_gain_db + steps * self.spec.gain_step_db
-        self._gain_db = min(self._gain_db, self.spec.max_gain_db)
+        achieved = self.spec.min_gain_db + steps * self.spec.gain_step_db
+        return min(achieved, self.spec.max_gain_db)
+
+    def set_gain_db(self, gain_db: float) -> float:
+        """Command a gain; returns the achieved (quantized) value."""
+        self._gain_db = self.achievable_gain_db(gain_db)
         return self._gain_db
 
     # -- large-signal behaviour ----------------------------------------

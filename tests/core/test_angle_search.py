@@ -202,8 +202,25 @@ class TestErrorWrap:
 
 
 class TestProbesLeaveBeamsAlone:
-    """Probing never re-steers the reflector: an output cannot depend
-    on which probe ran last."""
+    """Probing never re-steers the reflector or re-commands its gain:
+    an output cannot depend on which probe ran last."""
+
+    def test_probes_leave_the_gain_alone(self, scene):
+        room, tracer, channel, ap = scene
+        search = make_search(scene, rng=13)
+        search.reflector.amplifier.set_gain_db(50.0)
+        search.measure_sideband_dbm(45.0, 90.0)
+        assert search.reflector.amplifier.gain_db == 50.0
+        headset = Radio(
+            Vec2(2.0, 1.5), boresight_deg=0.0, config=HEADSET_RADIO_CONFIG
+        )
+        reflection = ReflectionAngleSearch(
+            ap, search.reflector, headset, tracer, channel, rng=14
+        )
+        reflection.sideband_at_headset_dbm(
+            np.array([50.0, 90.0, 130.0])[:, None], np.array([0.0, 20.0])[None, :]
+        )
+        assert search.reflector.amplifier.gain_db == 50.0
 
     @pytest.mark.parametrize("signal_level", [False, True])
     def test_backscatter_probe(self, scene, signal_level):
