@@ -71,7 +71,6 @@ def run_fig3(
     num_placements: int = 20,
     seed: RngLike = None,
     testbed: Testbed = None,
-    measure_with_ofdm: bool = True,
 ) -> ExperimentReport:
     """Regenerate both panels of Fig. 3 (SNR bars and rate bars)."""
     if num_placements < 1:
@@ -90,7 +89,7 @@ def run_fig3(
             occluders = bed.blockage_occluders(scenario, headset)
             measurement = system.direct_link(headset, extra_occluders=occluders)
             snr = measurement.snr_db
-            if measure_with_ofdm and np.isfinite(snr):
+            if np.isfinite(snr):
                 snr = _ofdm_measured_snr_db(snr, modem, child_rng(rng, 2))
             samples.add(scenario.label, snr, data_rate_mbps_for_snr(snr))
         # Opt-NLOS: blocked direct path ignored; best reflected path.
@@ -100,7 +99,7 @@ def run_fig3(
             occluders = bed.blockage_occluders(scenario, headset)
             result = opt_nlos.evaluate(system.ap, headset, extra_occluders=occluders)
             snr = result.snr_db
-            if measure_with_ofdm and np.isfinite(snr):
+            if np.isfinite(snr):
                 snr = _ofdm_measured_snr_db(snr, modem, child_rng(rng, 3))
             samples.add("NLOS", snr, data_rate_mbps_for_snr(snr))
 
