@@ -132,7 +132,7 @@ def run_ablation_deployment(
         f"{100.0 * paper:.0f}% coverage",
     )
     report.check(
-        "floor-level mounting is strictly worse than elevated",
+        "floor-level mounting is never better than elevated",
         coverage["1 reflector, floor-level, 24 GHz"] <= paper,
         f"{100.0 * coverage['1 reflector, floor-level, 24 GHz']:.0f}% vs "
         f"{100.0 * paper:.0f}%",
